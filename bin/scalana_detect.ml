@@ -3,7 +3,8 @@
 
    Exit codes: 0 clean run with no root causes, 1 root causes found,
    2 bad input or damaged artifacts (the report still renders, over what
-   was salvaged), 3 internal error. *)
+   was salvaged) or a session profiled at fewer than two scales,
+   3 internal error. *)
 
 open Cmdliner
 
@@ -36,6 +37,16 @@ let run session abnorm_thd domains follow_def_use static_crosscheck elastic
       Printf.eprintf "scalana: warning: %s\n%!" (Scalana.Artifact.issue_message i))
     s.issues;
   if s.runs = [] then failwith "session has no profiles; run scalana-prof first";
+  (* the non-scalable test fits across scales: one scale supports no
+     verdict, and an empty report must not pass for a clean one *)
+  (match List.sort_uniq compare (List.map fst s.runs) with
+  | [ np ] ->
+      failwith
+        (Printf.sprintf
+           "session has profiles at one scale only (np=%d); detection needs \
+            at least two: run scalana-prof at another --np"
+           np)
+  | _ -> ());
   let config =
     {
       Scalana.Config.default with

@@ -73,8 +73,7 @@ let apply_poison armed (data : Profdata.t) =
 let run ?(config = Config.default) ?(cost = Costmodel.default)
     ?(net = Network.default) ?(inject = Inject.empty)
     ?(faults = Faults.empty) ?(attempt = 1) ?(params = [])
-    ?(measure_overhead = false) ?(extra_tools = []) (static : Static.t)
-    ~nprocs () =
+    ?(measure_overhead = false) (static : Static.t) ~nprocs () =
   Scalana_obs.Obs.with_span
     ~args:
       [ ("nprocs", string_of_int nprocs); ("attempt", string_of_int attempt) ]
@@ -101,7 +100,7 @@ let run ?(config = Config.default) ?(cost = Costmodel.default)
   in
   let result =
     Exec.run
-      ~cfg:(mk_cfg ~faults:armed (Profiler.tool profiler :: extra_tools))
+      ~cfg:(mk_cfg ~faults:armed [ Profiler.tool profiler ])
       static.Static.program
   in
   let data = Profiler.data profiler in
@@ -132,12 +131,11 @@ let backoff_base = 0.05
 let backoff_delay ~attempt = backoff_base *. (2.0 ** float_of_int (attempt - 1))
 
 let run_with_retry ?(retries = 0) ?config ?cost ?net ?inject
-    ?(faults = Faults.empty) ?params ?measure_overhead ?extra_tools static
-    ~nprocs () =
+    ?(faults = Faults.empty) ?params ?measure_overhead static ~nprocs () =
   let rec go ~delays attempt =
     let r =
       run ?config ?cost ?net ?inject ~faults ~attempt ?params
-        ?measure_overhead ?extra_tools static ~nprocs ()
+        ?measure_overhead static ~nprocs ()
     in
     if degraded r && attempt <= retries then begin
       Scalana_obs.Obs.Metrics.incr "prof.retries";

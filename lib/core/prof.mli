@@ -39,7 +39,6 @@ val run :
   ?attempt:int ->
   ?params:(string * int) list ->
   ?measure_overhead:bool ->
-  ?extra_tools:Instrument.t list ->
   Static.t ->
   nprocs:int ->
   unit ->
@@ -62,7 +61,6 @@ val run_with_retry :
   ?faults:Faults.plan ->
   ?params:(string * int) list ->
   ?measure_overhead:bool ->
-  ?extra_tools:Instrument.t list ->
   Static.t ->
   nprocs:int ->
   unit ->

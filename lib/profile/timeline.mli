@@ -78,8 +78,8 @@ type recorder
 
 val create : ?config:config -> index:Index.t -> nprocs:int -> unit -> recorder
 
-(** The instrument hooks; attach via [Exec.config ~tools] or
-    [Prof.run ~extra_tools].  All hooks return 0.0 overhead. *)
+(** The instrument hooks; attach via [Exec.config ~tools].  All hooks
+    return 0.0 overhead. *)
 val tool : recorder -> Instrument.t
 
 (** Freeze the recorder into a sorted, immutable timeline. *)

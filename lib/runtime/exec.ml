@@ -620,8 +620,7 @@ and exec_stmt s rank frame (st : cstmt) =
           runtime_error ~loc "indirect call to undefined function %S" target
       | Some f -> call_function s rank ~site:loc f [||] frame)
   | KMpi { ast; op } ->
-      if s.has_tools then exec_mpi_tools s rank frame ~loc ast op
-      else exec_mpi_fast s rank frame ~loc ast op
+      exec_mpi s rank frame ~loc ast op
 
 and call_function s rank ~site (f : cfunc) (args : (int * C.expr) array)
     (caller : frame) =
@@ -641,124 +640,15 @@ and call_function s rank ~site (f : cfunc) (args : (int * C.expr) array)
   end
   else exec_block s rank callee_frame f.cf_body
 
-(* MPI execution, bare path: no tool hooks are installed, so context
-   records, dependence edges and callpaths are never materialized.  The
-   clock/wait arithmetic is sequenced exactly as in the instrumented
-   path (whose zero overheads this path elides). *)
-and exec_mpi_fast s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
+(* MPI execution.  The clock and wait arithmetic is the same with or
+   without tools; what only a hook consumes (context records, dependence
+   edges, posted sends, collective info) is built behind [s.has_tools],
+   so bare runs allocate none of it.  [callpaths] stays [[]] on bare
+   runs, so posted messages carry an empty callpath there. *)
+and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
+  let tools = s.has_tools in
   let enter_time = s.clock.(rank) in
-  let env = frame.fenv in
-  let wait = ref 0.0 in
-  (match op with
-  | KSend { dest; tag; bytes } ->
-      let dst = ceval env ~loc dest in
-      let tag = ceval env ~loc tag in
-      let bytes = ceval env ~loc bytes in
-      let sreq =
-        Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~callpath:[]
-      in
-      s.clock.(rank) <- s.clock.(rank) +. s.net.Network.send_overhead;
-      let t0 = s.clock.(rank) in
-      await_one s rank sreq;
-      wait := s.clock.(rank) -. t0
-  | KRecv { src; tag; bytes } ->
-      let src = eval_peer env ~loc src in
-      let tag = eval_tag env ~loc tag in
-      let bytes = ceval env ~loc bytes in
-      let req =
-        Comm.post_recv s.comm ~rank ~src ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~callpath:[]
-      in
-      s.clock.(rank) <- s.clock.(rank) +. s.net.Network.recv_overhead;
-      let t0 = s.clock.(rank) in
-      await_one s rank req;
-      wait := s.clock.(rank) -. t0
-  | KIsend { dest; tag; bytes; slot } ->
-      let dst = ceval env ~loc dest in
-      let tag = ceval env ~loc tag in
-      let bytes = ceval env ~loc bytes in
-      let sreq =
-        Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~callpath:[]
-      in
-      s.clock.(rank) <- s.clock.(rank) +. s.net.Network.send_overhead;
-      frame.freqs.(slot) <- sreq
-  | KIrecv { src; tag; bytes; slot } ->
-      let src = eval_peer env ~loc src in
-      let tag = eval_tag env ~loc tag in
-      let bytes = ceval env ~loc bytes in
-      let rreq =
-        Comm.post_recv s.comm ~rank ~src ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~callpath:[]
-      in
-      s.clock.(rank) <- s.clock.(rank) +. s.net.Network.recv_overhead;
-      frame.freqs.(slot) <- rreq
-  | KWait { slot; name } ->
-      let r = get_req frame ~loc slot name in
-      let t0 = s.clock.(rank) in
-      await_one s rank r;
-      wait := s.clock.(rank) -. t0
-  | KWaitall { slots } ->
-      let rs =
-        Array.map (fun (slot, name) -> get_req frame ~loc slot name) slots
-      in
-      let t0 = s.clock.(rank) in
-      await_many s rank rs;
-      wait := s.clock.(rank) -. t0
-  | KSendrecv { dest; stag; sbytes; src; rtag; rbytes } ->
-      let dst = ceval env ~loc dest in
-      let stag = ceval env ~loc stag in
-      let sbytes = ceval env ~loc sbytes in
-      let src = eval_peer env ~loc src in
-      let rtag = eval_tag env ~loc rtag in
-      let rbytes = ceval env ~loc rbytes in
-      let sreq =
-        Comm.send s.comm ~src:rank ~dst ~tag:stag ~bytes:sbytes
-          ~time:s.clock.(rank) ~loc ~callpath:[]
-      in
-      let rreq =
-        Comm.post_recv s.comm ~rank ~src ~tag:rtag ~bytes:rbytes
-          ~time:s.clock.(rank) ~loc ~callpath:[]
-      in
-      s.clock.(rank) <-
-        s.clock.(rank) +. s.net.Network.send_overhead
-        +. s.net.Network.recv_overhead;
-      let t0 = s.clock.(rank) in
-      await_two s rank sreq rreq;
-      wait := s.clock.(rank) -. t0
-  | KColl { bytes } ->
-      let bytes = ceval env ~loc bytes in
-      s.coll_seqs.(rank) <- s.coll_seqs.(rank) + 1;
-      let arrive_time = s.clock.(rank) in
-      let c =
-        Comm.coll_arrive s.comm ~seq:s.coll_seqs.(rank) ~rank ~time:arrive_time
-          ~kind:ast ~bytes
-      in
-      if c.Comm.finished then wake_collective s c;
-      let resume =
-        if c.Comm.finished then c.Comm.finish_time
-        else begin
-          s.blocked_since.(rank) <- arrive_time;
-          s.wakes.(rank) <- Wake_coll c;
-          Effect.perform Block
-        end
-      in
-      s.clock.(rank) <- Float.max s.clock.(rank) resume;
-      wait := Float.max 0.0 (c.Comm.start_time -. arrive_time));
-  s.mpi_sec.(rank) <- s.mpi_sec.(rank) +. (s.clock.(rank) -. enter_time);
-  s.wait_sec.(rank) <- s.wait_sec.(rank) +. !wait
-
-(* MPI execution, instrumented path: the reference engine's sequence of
-   hook calls, context records and overhead charges, with compiled
-   expression evaluation. *)
-and exec_mpi_tools s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
-  let enter_time = s.clock.(rank) in
-  let ctx_enter = ctx_of s rank ~loc in
-  let overhead_in =
-    tool_sum s.cfg (fun tool -> tool.Instrument.on_mpi_enter ctx_enter ast)
-  in
-  s.clock.(rank) <- s.clock.(rank) +. overhead_in;
+  let callpath = s.callpaths.(rank) in
   let env = frame.fenv in
   let deps = ref [] and sends = ref [] and collective = ref None in
   let wait = ref 0.0 in
@@ -769,44 +659,44 @@ and exec_mpi_tools s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       let bytes = ceval env ~loc bytes in
       let sreq =
         Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~callpath:s.callpaths.(rank)
+          ~callpath
       in
       s.clock.(rank) <- s.clock.(rank) +. s.net.Network.send_overhead;
       let t0 = s.clock.(rank) in
       await_one s rank sreq;
       wait := s.clock.(rank) -. t0;
-      sends := [ (dst, tag, bytes) ]
+      if tools then sends := [ (dst, tag, bytes) ]
   | KRecv { src; tag; bytes } ->
       let src = eval_peer env ~loc src in
       let tag = eval_tag env ~loc tag in
       let bytes = ceval env ~loc bytes in
       let req =
         Comm.post_recv s.comm ~rank ~src ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~callpath:s.callpaths.(rank)
+          ~callpath
       in
       s.clock.(rank) <- s.clock.(rank) +. s.net.Network.recv_overhead;
       let t0 = s.clock.(rank) in
       await_one s rank req;
       wait := s.clock.(rank) -. t0;
-      deps := dep_of_req req
+      if tools then deps := dep_of_req req
   | KIsend { dest; tag; bytes; slot } ->
       let dst = ceval env ~loc dest in
       let tag = ceval env ~loc tag in
       let bytes = ceval env ~loc bytes in
       let sreq =
         Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~callpath:s.callpaths.(rank)
+          ~callpath
       in
       s.clock.(rank) <- s.clock.(rank) +. s.net.Network.send_overhead;
       frame.freqs.(slot) <- sreq;
-      sends := [ (dst, tag, bytes) ]
+      if tools then sends := [ (dst, tag, bytes) ]
   | KIrecv { src; tag; bytes; slot } ->
       let src = eval_peer env ~loc src in
       let tag = eval_tag env ~loc tag in
       let bytes = ceval env ~loc bytes in
       let rreq =
         Comm.post_recv s.comm ~rank ~src ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~callpath:s.callpaths.(rank)
+          ~callpath
       in
       s.clock.(rank) <- s.clock.(rank) +. s.net.Network.recv_overhead;
       frame.freqs.(slot) <- rreq
@@ -815,7 +705,7 @@ and exec_mpi_tools s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       let t0 = s.clock.(rank) in
       await_one s rank r;
       wait := s.clock.(rank) -. t0;
-      deps := dep_of_req r
+      if tools then deps := dep_of_req r
   | KWaitall { slots } ->
       let rs =
         Array.map (fun (slot, name) -> get_req frame ~loc slot name) slots
@@ -823,7 +713,7 @@ and exec_mpi_tools s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       let t0 = s.clock.(rank) in
       await_many s rank rs;
       wait := s.clock.(rank) -. t0;
-      deps := List.concat_map dep_of_req (Array.to_list rs)
+      if tools then deps := List.concat_map dep_of_req (Array.to_list rs)
   | KSendrecv { dest; stag; sbytes; src; rtag; rbytes } ->
       let dst = ceval env ~loc dest in
       let stag = ceval env ~loc stag in
@@ -833,11 +723,11 @@ and exec_mpi_tools s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       let rbytes = ceval env ~loc rbytes in
       let sreq =
         Comm.send s.comm ~src:rank ~dst ~tag:stag ~bytes:sbytes
-          ~time:s.clock.(rank) ~loc ~callpath:s.callpaths.(rank)
+          ~time:s.clock.(rank) ~loc ~callpath
       in
       let rreq =
         Comm.post_recv s.comm ~rank ~src ~tag:rtag ~bytes:rbytes
-          ~time:s.clock.(rank) ~loc ~callpath:s.callpaths.(rank)
+          ~time:s.clock.(rank) ~loc ~callpath
       in
       s.clock.(rank) <-
         s.clock.(rank) +. s.net.Network.send_overhead
@@ -845,8 +735,10 @@ and exec_mpi_tools s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       let t0 = s.clock.(rank) in
       await_two s rank sreq rreq;
       wait := s.clock.(rank) -. t0;
-      sends := [ (dst, stag, sbytes) ];
-      deps := dep_of_req rreq
+      if tools then begin
+        sends := [ (dst, stag, sbytes) ];
+        deps := dep_of_req rreq
+      end
   | KColl { bytes } ->
       let bytes = ceval env ~loc bytes in
       s.coll_seqs.(rank) <- s.coll_seqs.(rank) + 1;
@@ -866,39 +758,46 @@ and exec_mpi_tools s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       in
       s.clock.(rank) <- Float.max s.clock.(rank) resume;
       wait := Float.max 0.0 (c.Comm.start_time -. arrive_time);
-      collective :=
-        Some
-          {
-            Instrument.coll_seq = c.Comm.coll_seq;
-            arrive_time;
-            start_time = c.Comm.start_time;
-            last_arrival_rank = c.Comm.last_arrival_rank;
-          });
+      if tools then
+        collective :=
+          Some
+            {
+              Instrument.coll_seq = c.Comm.coll_seq;
+              arrive_time;
+              start_time = c.Comm.start_time;
+              last_arrival_rank = c.Comm.last_arrival_rank;
+            });
   let exit_time = s.clock.(rank) in
+  (* read out of the ref before any hook closure: a ref a closure
+     captures stays boxed, on bare runs too *)
+  let wait = !wait in
   s.mpi_sec.(rank) <- s.mpi_sec.(rank) +. (exit_time -. enter_time);
-  s.wait_sec.(rank) <- s.wait_sec.(rank) +. !wait;
-  let ctx_span = { ctx_enter with Instrument.time = enter_time } in
-  let span_overhead =
-    tool_sum s.cfg (fun tool ->
-        tool.Instrument.on_interval ctx_span ~stop:exit_time
-          (Instrument.Mpi_span { call = ast; wait_seconds = !wait }))
-  in
-  let exit_info =
-    {
-      Instrument.call = ast;
-      enter_time;
-      exit_time;
-      wait_seconds = !wait;
-      deps = !deps;
-      sends = !sends;
-      collective = !collective;
-    }
-  in
-  let ctx_exit = ctx_of s rank ~loc in
-  let overhead_out =
-    tool_sum s.cfg (fun tool -> tool.Instrument.on_mpi_exit ctx_exit exit_info)
-  in
-  s.clock.(rank) <- s.clock.(rank) +. span_overhead +. overhead_out
+  s.wait_sec.(rank) <- s.wait_sec.(rank) +. wait;
+  if tools then begin
+    let ctx_span = { Instrument.rank; time = enter_time; loc; callpath } in
+    let span_overhead =
+      tool_sum s.cfg (fun tool ->
+          tool.Instrument.on_interval ctx_span ~stop:exit_time
+            (Instrument.Mpi_span { call = ast; wait_seconds = wait }))
+    in
+    let exit_info =
+      {
+        Instrument.call = ast;
+        enter_time;
+        exit_time;
+        wait_seconds = wait;
+        deps = !deps;
+        sends = !sends;
+        collective = !collective;
+      }
+    in
+    let ctx_exit = { ctx_span with time = exit_time } in
+    let overhead_out =
+      tool_sum s.cfg (fun tool ->
+          tool.Instrument.on_mpi_exit ctx_exit exit_info)
+    in
+    s.clock.(rank) <- s.clock.(rank) +. span_overhead +. overhead_out
+  end
 
 (* --- fibers and the scheduler loop --- *)
 

@@ -53,7 +53,6 @@ type t = {
   name : string;
   on_interval : ctx -> stop:float -> activity -> float;
       (* a span of process activity [ctx.time, stop) *)
-  on_mpi_enter : ctx -> Ast.mpi_call -> float;
   on_mpi_exit : ctx -> mpi_exit -> float;
   on_icall : ctx -> target:string -> float;
   on_run_end : nprocs:int -> elapsed:float -> unit;
@@ -63,7 +62,6 @@ let nil name =
   {
     name;
     on_interval = (fun _ ~stop:_ _ -> 0.0);
-    on_mpi_enter = (fun _ _ -> 0.0);
     on_mpi_exit = (fun _ _ -> 0.0);
     on_icall = (fun _ ~target:_ -> 0.0);
     on_run_end = (fun ~nprocs:_ ~elapsed:_ -> ());

@@ -54,7 +54,6 @@ type t = {
   name : string;
   on_interval : ctx -> stop:float -> activity -> float;
       (** a span of process activity [ctx.time, stop) *)
-  on_mpi_enter : ctx -> Ast.mpi_call -> float;
   on_mpi_exit : ctx -> mpi_exit -> float;
   on_icall : ctx -> target:string -> float;
   on_run_end : nprocs:int -> elapsed:float -> unit;

@@ -717,21 +717,28 @@ let reference_digests =
 let digest_result (r : Exec.result) =
   Digest.to_hex (Digest.string (Marshal.to_string r []))
 
+(* Each digest pins the bare run and the same run with an empty tool
+   attached: the instrumented MPI path must not move a clock. *)
 let test_engine_reference_digests () =
   List.iter
     (fun (name, np, clean_d, faulted_d) ->
       let e = Scalana_apps.Registry.find name in
-      let cfg = Exec.config ~nprocs:np ~cost:e.cost () in
-      let clean = Exec.run ~cfg (e.make ()) in
-      check_string
-        (Printf.sprintf "%s np=%d clean" name np)
-        clean_d (digest_result clean);
-      let armed = Faults.arm equivalence_fault_plan ~nprocs:np ~attempt:1 in
-      let fcfg = Exec.config ~nprocs:np ~cost:e.cost ~faults:armed () in
-      let faulted = Exec.run ~cfg:fcfg (e.make ()) in
-      check_string
-        (Printf.sprintf "%s np=%d faulted" name np)
-        faulted_d (digest_result faulted))
+      List.iter
+        (fun (label, tools) ->
+          let cfg = Exec.config ~nprocs:np ~cost:e.cost ~tools () in
+          let clean = Exec.run ~cfg (e.make ()) in
+          check_string
+            (Printf.sprintf "%s np=%d clean%s" name np label)
+            clean_d (digest_result clean);
+          let armed = Faults.arm equivalence_fault_plan ~nprocs:np ~attempt:1 in
+          let fcfg =
+            Exec.config ~nprocs:np ~cost:e.cost ~faults:armed ~tools ()
+          in
+          let faulted = Exec.run ~cfg:fcfg (e.make ()) in
+          check_string
+            (Printf.sprintf "%s np=%d faulted%s" name np label)
+            faulted_d (digest_result faulted))
+        [ ("", []); (" nil-tool", [ Instrument.nil "nil" ]) ])
     reference_digests
 
 (* --- elastic membership and recovery --- *)
