@@ -12,7 +12,9 @@
    [engine_throughput]: raw simulator events/second on the cg-weak
    extreme-scale workload (docs/performance.md), the metric the
    zero-allocation engine rework targets.  Each scale point carries the
-   pre-rework engine's measurement as its baseline. *)
+   pre-rework engine's measurement as its baseline, and the wall of a
+   profiled run ([Prof.run]) at the same point: the profiled/raw ratio
+   is self-normalizing, so it means the same on slow and fast hosts. *)
 
 let domains = 4
 
@@ -64,7 +66,12 @@ type speedup_data = {
   phases : (string * int * float) list;
 }
 
-type engine_row = { np : int; events : int; wall_s : float }
+type engine_row = {
+  np : int;
+  events : int;
+  wall_s : float;
+  profiled_s : float;  (* Prof.run wall, same program and scale *)
+}
 
 type ppg_row = {
   mnp : int;  (* scale point *)
@@ -138,9 +145,11 @@ let write_bench_json () =
         Printf.sprintf
           "    { \"np\": %d, \"events\": %d, \"wall_seconds\": %.3f, \
            \"events_per_second\": %.0f, \
-           \"baseline_events_per_second\": %.0f, \"speedup\": %.2f }"
+           \"baseline_events_per_second\": %.0f, \"speedup\": %.2f, \
+           \"profiled_wall_seconds\": %.3f, \"profiled_ratio\": %.2f }"
           r.np r.events r.wall_s evs (engine_baseline r.np)
           (evs /. engine_baseline r.np)
+          r.profiled_s (r.profiled_s /. r.wall_s)
       in
       add
         "  \"engine\": {\n\
@@ -234,7 +243,8 @@ let pipeline_parallel () =
     (List.length phases)
 
 let engine_throughput () =
-  Util.section "Engine throughput: cg-weak events/second (raw Exec.run)";
+  Util.section
+    "Engine throughput: cg-weak events/second (raw Exec.run, and Prof.run)";
   let entry = Scalana_apps.Registry.find "cg-weak" in
   let rows =
     List.map
@@ -242,13 +252,23 @@ let engine_throughput () =
         let cfg = Scalana_runtime.Exec.config ~nprocs:np ~cost:entry.cost () in
         let prog = entry.make () in
         let r, wall_s = timed (fun () -> Scalana_runtime.Exec.run ~cfg prog) in
-        let row = { np; events = r.Scalana_runtime.Exec.events; wall_s } in
+        let static = Scalana.Static.analyze prog in
+        let _, profiled_s =
+          timed (fun () ->
+              Scalana.Prof.run ~cost:entry.cost static ~nprocs:np ())
+        in
+        let row =
+          { np; events = r.Scalana_runtime.Exec.events; wall_s; profiled_s }
+        in
         Printf.printf
-          "  np=%-6d %9d events %8.3fs  %10.0f ev/s  (baseline %8.0f, %.1fx)\n%!"
+          "  np=%-6d %9d events %8.3fs  %10.0f ev/s  (baseline %8.0f, %.1fx)  \
+           profiled %8.3fs (%.2fx raw)\n\
+           %!"
           np row.events wall_s
           (float_of_int row.events /. wall_s)
           (engine_baseline np)
-          (float_of_int row.events /. wall_s /. engine_baseline np);
+          (float_of_int row.events /. wall_s /. engine_baseline np)
+          profiled_s (profiled_s /. wall_s);
         row)
       engine_scales
   in

@@ -29,7 +29,7 @@ let default_config =
 
 type t = {
   cfg : config;
-  index : Index.t;
+  sites : Index.memo;  (* this run's site -> vertex resolutions *)
   data : Profdata.t;
   next_tick : float array;  (* per rank *)
   rngs : Random.State.t array;  (* per rank, deterministic *)
@@ -38,7 +38,7 @@ type t = {
 let create ?(config = default_config) ~index ~nprocs () =
   {
     cfg = config;
-    index;
+    sites = Index.memo index;
     data = Profdata.create ~nprocs;
     next_tick = Array.make nprocs (1.0 /. config.freq);
     rngs =
@@ -61,7 +61,7 @@ let ticks t ~rank ~start ~stop =
   !n
 
 let resolve t (ctx : Instrument.ctx) =
-  Index.find t.index ~callpath:ctx.callpath ~loc:ctx.loc
+  Index.find_site t.sites ~site:ctx.site ~callpath:ctx.callpath ~loc:ctx.loc
 
 let on_interval t (ctx : Instrument.ctx) ~stop activity =
   let n = ticks t ~rank:ctx.rank ~start:ctx.time ~stop in
@@ -120,7 +120,8 @@ let on_mpi_exit t (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
             List.iter
               (fun (d : Instrument.peer_dep) ->
                 match
-                  Index.find t.index ~callpath:d.peer_callpath ~loc:d.peer_loc
+                  Index.find_site t.sites ~site:d.peer_site
+                    ~callpath:d.peer_callpath ~loc:d.peer_loc
                 with
                 | None -> ()
                 | Some send_vid ->

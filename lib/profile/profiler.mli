@@ -18,6 +18,9 @@ type config = {
 val default_config : config
 type t
 
+(** A profiler observes one simulator run: it memoizes vertex
+    resolution per site id ({!Index.memo}), which is only valid for the
+    run it was created for. *)
 val create : ?config:config -> index:Index.t -> nprocs:int -> unit -> t
 val data : t -> Profdata.t
 

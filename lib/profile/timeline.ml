@@ -73,7 +73,7 @@ type t = {
 
 type recorder = {
   r_cfg : config;
-  r_index : Index.t;
+  r_sites : Index.memo;  (* this run's site -> vertex resolutions *)
   r_nprocs : int;
   mutable r_count : int;  (* recorded intervals + messages *)
   r_last : interval option array;  (* per-rank tail, the merge target *)
@@ -88,7 +88,7 @@ type recorder = {
 let create ?(config = default_config) ~index ~nprocs () =
   {
     r_cfg = config;
-    r_index = index;
+    r_sites = Index.memo index;
     r_nprocs = nprocs;
     r_count = 0;
     r_last = Array.make nprocs None;
@@ -101,7 +101,8 @@ let create ?(config = default_config) ~index ~nprocs () =
   }
 
 let resolve r (ctx : Instrument.ctx) =
-  Index.find r.r_index ~callpath:ctx.callpath ~loc:ctx.loc
+  Index.find_site r.r_sites ~site:ctx.site ~callpath:ctx.callpath
+    ~loc:ctx.loc
 
 let has_budget r = r.r_count < r.r_cfg.max_events
 

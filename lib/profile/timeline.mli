@@ -76,6 +76,8 @@ type t = {
 
 type recorder
 
+(** Like a profiler, a recorder observes one simulator run (its vertex
+    resolutions are memoized per site id). *)
 val create : ?config:config -> index:Index.t -> nprocs:int -> unit -> recorder
 
 (** The instrument hooks; attach via [Exec.config ~tools].  All hooks

@@ -63,3 +63,25 @@ let rec find t ~callpath ~loc =
 
 let exact t ~callpath ~loc = Hashtbl.find_opt t.tbl (key callpath loc)
 let size t = Hashtbl.length t.tbl
+
+(* Per-run memo of [find] keyed by the simulator's dense site ids
+   ([Instrument.ctx.site]): the string key is built once per distinct
+   site instead of once per event.  A [None] slot is a site not yet
+   resolved; [Some None] caches an unresolved lookup. *)
+type memo = { index : t; mutable vids : int option option array }
+
+let memo index = { index; vids = [||] }
+
+let find_site m ~site ~callpath ~loc =
+  let n = Array.length m.vids in
+  match if site < n then m.vids.(site) else None with
+  | Some r -> r
+  | None ->
+      let r = find m.index ~callpath ~loc in
+      if site >= n then begin
+        let a = Array.make (max (site + 1) (2 * n)) None in
+        Array.blit m.vids 0 a 0 n;
+        m.vids <- a
+      end;
+      m.vids.(site) <- Some r;
+      r

@@ -31,7 +31,7 @@ type message = {
   send_time : float;
   mutable arrival : float;  (* infinity until scheduled (rendezvous) *)
   send_loc : Loc.t;
-  send_callpath : Loc.t list;
+  send_site : int;  (* the sender's call-context site, see [Exec] *)
   eager : bool;
   mutable sender_req : request;  (* [nil_request] = none *)
   mutable consumed : bool;  (* tombstone in the unexpected queue *)
@@ -47,7 +47,6 @@ and request = {
   req_key : int;  (* packed exact (src, tag), -1 when wildcarded *)
   req_bytes : int;
   req_loc : Loc.t;
-  req_callpath : Loc.t list;
   mutable completed : bool;  (* tombstone in the posted queue *)
   mutable completion : float;
   mutable matched : message;  (* [nil_message] = none *)
@@ -71,7 +70,7 @@ let rec nil_message =
     send_time = 0.0;
     arrival = 0.0;
     send_loc = Loc.none;
-    send_callpath = [];
+    send_site = 0;
     eager = true;
     sender_req = nil_request;
     consumed = true;
@@ -88,7 +87,6 @@ and nil_request =
     req_key = -1;
     req_bytes = 0;
     req_loc = Loc.none;
-    req_callpath = [];
     completed = true;
     completion = 0.0;
     matched = nil_message;
@@ -233,7 +231,7 @@ let fresh_req t =
 
 (* Post a send at [time]; returns the sender-side request (already
    completed for eager messages). *)
-let send t ~src ~dst ~tag ~bytes ~time ~loc ~callpath =
+let send t ~src ~dst ~tag ~bytes ~time ~loc ~site =
   if dst < 0 || dst >= t.nprocs then
     Fmt.invalid_arg "send to rank %d outside 0..%d (%s)" dst (t.nprocs - 1)
       (Loc.to_string loc);
@@ -253,7 +251,7 @@ let send t ~src ~dst ~tag ~bytes ~time ~loc ~callpath =
       arrival =
         (if eager then time +. Network.transfer_time t.net bytes else infinity);
       send_loc = loc;
-      send_callpath = callpath;
+      send_site = site;
       eager;
       sender_req = nil_request;
       consumed = false;
@@ -270,7 +268,6 @@ let send t ~src ~dst ~tag ~bytes ~time ~loc ~callpath =
       req_key = -1;
       req_bytes = bytes;
       req_loc = loc;
-      req_callpath = callpath;
       completed = eager;
       completion = (if eager then time else infinity);
       matched = msg;
@@ -299,7 +296,7 @@ let send t ~src ~dst ~tag ~bytes ~time ~loc ~callpath =
 
 (* Post a receive at [time]; returns the request (already completed when
    a matching unexpected message was waiting). *)
-let post_recv t ~rank ~src ~tag ~bytes ~time ~loc ~callpath =
+let post_recv t ~rank ~src ~tag ~bytes ~time ~loc =
   if src <> any_src && (src < 0 || src >= t.nprocs) then
     Fmt.invalid_arg "recv from rank %d outside 0..%d (%s)" src (t.nprocs - 1)
       (Loc.to_string loc);
@@ -315,7 +312,6 @@ let post_recv t ~rank ~src ~tag ~bytes ~time ~loc ~callpath =
         (if src <> any_src && tag <> any_tag then pack_key src tag else -1);
       req_bytes = bytes;
       req_loc = loc;
-      req_callpath = callpath;
       completed = false;
       completion = infinity;
       matched = nil_message;

@@ -23,7 +23,7 @@ type message = {
   send_time : float;
   mutable arrival : float;  (** infinity until scheduled (rendezvous) *)
   send_loc : Loc.t;
-  send_callpath : Loc.t list;
+  send_site : int;  (** the sender's call-context site ({!Instrument.ctx}) *)
   eager : bool;
   mutable sender_req : request;  (** [nil_request] = none *)
   mutable consumed : bool;  (** tombstone in the unexpected queue *)
@@ -39,7 +39,6 @@ and request = {
   req_key : int;  (** packed exact (src, tag), [-1] when wildcarded *)
   req_bytes : int;
   req_loc : Loc.t;
-  req_callpath : Loc.t list;
   mutable completed : bool;  (** tombstone in the posted queue *)
   mutable completion : float;
   mutable matched : message;  (** [nil_message] = none *)
@@ -114,7 +113,7 @@ val send :
   bytes:int ->
   time:float ->
   loc:Loc.t ->
-  callpath:Loc.t list ->
+  site:int ->
   request
 
 (** Post a receive ([src]/[tag] may be {!any_src}/{!any_tag}); already
@@ -127,7 +126,6 @@ val post_recv :
   bytes:int ->
   time:float ->
   loc:Loc.t ->
-  callpath:Loc.t list ->
   request
 
 (** Register [rank]'s arrival at its [seq]-th collective; the last

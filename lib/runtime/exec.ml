@@ -19,9 +19,16 @@
    the original interpreter sequenced it — simulated times are preserved
    to the last ulp, and the scheduler-heap tie order is untouched, so
    results (and the golden reports derived from them) are byte-identical
-   to the reference engine.  Instrumentation hooks and callpath
+   to the reference engine.  Instrumentation hooks and call-context
    maintenance are skipped entirely when no tool is attached: a bare run
-   pays nothing for the observability layer. *)
+   pays nothing for the observability layer.
+
+   Tools see each event's *site*: a dense int naming the (call context,
+   statement) pair.  Statements are numbered at compile time ([sid]);
+   call contexts are nodes of a tree grown as calls first execute, each
+   node's callpath built once at creation.  [site = node * nsid + sid],
+   so a tool resolves a site once and reuses the answer for the rest of
+   the run. *)
 
 open Scalana_mlang
 module C = Expr.Compiled
@@ -81,7 +88,11 @@ type cfunc = {
   mutable cf_body : cstmt array;  (* filled after creation: recursion *)
 }
 
-and cstmt = { sloc : Loc.t; snode : cnode }
+and cstmt = {
+  sloc : Loc.t;
+  sid : int;  (* dense statement number in [0, nsid) *)
+  snode : cnode;
+}
 
 and cnode =
   | KLet of { slot : int; value : C.expr }
@@ -163,8 +174,8 @@ let merge_params (program : Ast.program) overrides =
       overrides
 
 (* Compile [program] at one (nprocs, params) point; returns the main
-   function.  Duplicate function names keep first-definition-wins
-   resolution. *)
+   function and the number of statements [nsid].  Duplicate function
+   names keep first-definition-wins resolution. *)
 let compile_program ~nprocs ~params (program : Ast.program) =
   let funcs =
     List.fold_left
@@ -231,6 +242,7 @@ let compile_program ~nprocs ~params (program : Ast.program) =
         })
     funcs;
   let param name = List.assoc_opt name params in
+  let nsid = ref 0 in
   let compile_func (f : Ast.func) =
     let fs = Hashtbl.find slots f.fname in
     let var_slot name =
@@ -275,6 +287,8 @@ let compile_program ~nprocs ~params (program : Ast.program) =
     in
     let rec cstmts stmts = Array.of_list (List.map cstmt stmts)
     and cstmt (st : Ast.stmt) =
+      let sid = !nsid in
+      incr nsid;
       let node =
         match st.node with
         | Ast.Let { var; value } ->
@@ -311,13 +325,13 @@ let compile_program ~nprocs ~params (program : Ast.program) =
                     (List.map (fun n -> (n, Hashtbl.find_opt cmap n)) targets) }
         | Ast.Mpi c -> KMpi { ast = c; op = cmpi c }
       in
-      { sloc = st.loc; snode = node }
+      { sloc = st.loc; sid; snode = node }
     in
     (Hashtbl.find cmap f.fname).cf_body <- cstmts f.fbody
   in
   List.iter compile_func funcs;
   match Hashtbl.find_opt cmap program.main with
-  | Some f -> f
+  | Some f -> (f, !nsid)
   | None -> raise (Ast.Unknown_function program.main)
 
 (* --- scheduler plumbing --- *)
@@ -364,7 +378,12 @@ type sched = {
   conts : (float, unit) Effect.Deep.continuation option array;
   resume_at : float array;
   wakes : wake array;
-  callpaths : Loc.t list array;  (* maintained only when has_tools *)
+  (* call contexts, maintained only when has_tools; node 0 is [main] *)
+  nsid : int;  (* statements in the compiled program, >= 1 *)
+  cnode : int array;  (* current context node per rank *)
+  mutable node_paths : Loc.t list array;  (* node -> callpath *)
+  mutable nnodes : int;
+  mutable children : int array;  (* site of a call -> child, -1 = none *)
   kill_at : float array;  (* infinity = no kill fault armed *)
   comp_scale : float array;
   scratch : float array;  (* 5 slots for Costmodel.comp_cost_into *)
@@ -432,12 +451,36 @@ let eval_tag (env : C.env) ~loc = function
   | KTAny -> Comm.any_tag
   | KTag e -> ceval env ~loc e
 
-let ctx_of s rank ~loc =
+(* [a] extended to at least [len] slots, the new ones set to [fill]. *)
+let grow a len fill =
+  let b = Array.make (max len (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* The context node that [call], executed in context [parent], enters;
+   created with its callpath the first time. *)
+let child_node s parent (call : cstmt) =
+  let site = (parent * s.nsid) + call.sid in
+  if site >= Array.length s.children then
+    s.children <- grow s.children (site + 1) (-1);
+  if s.children.(site) < 0 then begin
+    let c = s.nnodes in
+    if c = Array.length s.node_paths then
+      s.node_paths <- grow s.node_paths (c + 1) [];
+    s.node_paths.(c) <- s.node_paths.(parent) @ [ call.sloc ];
+    s.nnodes <- c + 1;
+    s.children.(site) <- c
+  end;
+  s.children.(site)
+
+let ctx_of s rank (st : cstmt) =
+  let node = s.cnode.(rank) in
   {
     Instrument.rank;
     time = s.clock.(rank);
-    loc;
-    callpath = s.callpaths.(rank);
+    loc = st.sloc;
+    callpath = s.node_paths.(node);
+    site = (node * s.nsid) + st.sid;
   }
 
 let tool_sum cfg f = List.fold_left (fun acc tool -> acc +. f tool) 0.0 cfg.tools
@@ -483,14 +526,15 @@ let await_many s rank (rs : Comm.request array) =
   in
   s.clock.(rank) <- Float.max s.clock.(rank) resume
 
-let dep_of_req (r : Comm.request) =
+let dep_of_req s (r : Comm.request) =
   if Comm.has_matched r && r.Comm.req_kind = `Recv then
     let m = r.Comm.matched in
     [
       {
         Instrument.peer_rank = m.Comm.msg_src;
         peer_loc = m.Comm.send_loc;
-        peer_callpath = m.Comm.send_callpath;
+        peer_callpath = s.node_paths.(m.Comm.send_site / s.nsid);
+        peer_site = m.Comm.send_site;
         dep_tag = m.Comm.msg_tag;
         dep_bytes = m.Comm.msg_bytes;
         send_time = m.Comm.send_time;
@@ -567,7 +611,7 @@ and exec_stmt s rank frame (st : cstmt) =
         else seconds
       in
       if s.has_tools then begin
-        let ctx = ctx_of s rank ~loc in
+        let ctx = ctx_of s rank st in
         accum_comp s rank seconds;
         let pmu =
           {
@@ -599,7 +643,7 @@ and exec_stmt s rank frame (st : cstmt) =
   | KBranch { cond; then_; else_ } ->
       if ceval frame.fenv ~loc cond <> 0 then exec_block s rank frame then_
       else exec_block s rank frame else_
-  | KCall { callee; args } -> call_function s rank ~site:loc callee args frame
+  | KCall { callee; args } -> call_function s rank st callee args frame
   | KCall_undef name ->
       runtime_error ~loc "call to undefined function %S" name
   | KIcall { selector; targets } ->
@@ -609,7 +653,7 @@ and exec_stmt s rank frame (st : cstmt) =
       let idx = ((sel mod n) + n) mod n in
       let target, tf = targets.(idx) in
       if s.has_tools then begin
-        let ctx = ctx_of s rank ~loc in
+        let ctx = ctx_of s rank st in
         let overhead =
           tool_sum s.cfg (fun tool -> tool.Instrument.on_icall ctx ~target)
         in
@@ -618,37 +662,38 @@ and exec_stmt s rank frame (st : cstmt) =
       (match tf with
       | None ->
           runtime_error ~loc "indirect call to undefined function %S" target
-      | Some f -> call_function s rank ~site:loc f [||] frame)
+      | Some f -> call_function s rank st f [||] frame)
   | KMpi { ast; op } ->
-      exec_mpi s rank frame ~loc ast op
+      exec_mpi s rank frame ~loc ~sid:st.sid ast op
 
-and call_function s rank ~site (f : cfunc) (args : (int * C.expr) array)
-    (caller : frame) =
+and call_function s rank (call : cstmt) (f : cfunc)
+    (args : (int * C.expr) array) (caller : frame) =
   let callee_frame = new_frame rank f in
   let nargs = Array.length args in
   for i = 0 to nargs - 1 do
     let slot, e = Array.unsafe_get args i in
-    let v = ceval caller.fenv ~loc:site e in
+    let v = ceval caller.fenv ~loc:call.sloc e in
     callee_frame.fenv.C.c_vars.(slot) <- v;
     Bytes.unsafe_set callee_frame.fenv.C.c_bound slot '\001'
   done;
   if s.has_tools then begin
-    let saved = s.callpaths.(rank) in
-    s.callpaths.(rank) <- saved @ [ site ];
+    let parent = s.cnode.(rank) in
+    s.cnode.(rank) <- child_node s parent call;
     exec_block s rank callee_frame f.cf_body;
-    s.callpaths.(rank) <- saved
+    s.cnode.(rank) <- parent
   end
   else exec_block s rank callee_frame f.cf_body
 
 (* MPI execution.  The clock and wait arithmetic is the same with or
    without tools; what only a hook consumes (context records, dependence
    edges, posted sends, collective info) is built behind [s.has_tools],
-   so bare runs allocate none of it.  [callpaths] stays [[]] on bare
-   runs, so posted messages carry an empty callpath there. *)
-and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
+   so bare runs allocate none of it.  [cnode] stays at the root on bare
+   runs, so posted messages carry a root-context site there. *)
+and exec_mpi s rank frame ~loc ~sid (ast : Ast.mpi_call) (op : cmpi) =
   let tools = s.has_tools in
   let enter_time = s.clock.(rank) in
-  let callpath = s.callpaths.(rank) in
+  let node = s.cnode.(rank) in
+  let site = (node * s.nsid) + sid in
   let env = frame.fenv in
   let deps = ref [] and sends = ref [] and collective = ref None in
   let wait = ref 0.0 in
@@ -659,7 +704,7 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       let bytes = ceval env ~loc bytes in
       let sreq =
         Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~callpath
+          ~site
       in
       s.clock.(rank) <- s.clock.(rank) +. s.net.Network.send_overhead;
       let t0 = s.clock.(rank) in
@@ -672,20 +717,19 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       let bytes = ceval env ~loc bytes in
       let req =
         Comm.post_recv s.comm ~rank ~src ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~callpath
       in
       s.clock.(rank) <- s.clock.(rank) +. s.net.Network.recv_overhead;
       let t0 = s.clock.(rank) in
       await_one s rank req;
       wait := s.clock.(rank) -. t0;
-      if tools then deps := dep_of_req req
+      if tools then deps := dep_of_req s req
   | KIsend { dest; tag; bytes; slot } ->
       let dst = ceval env ~loc dest in
       let tag = ceval env ~loc tag in
       let bytes = ceval env ~loc bytes in
       let sreq =
         Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~callpath
+          ~site
       in
       s.clock.(rank) <- s.clock.(rank) +. s.net.Network.send_overhead;
       frame.freqs.(slot) <- sreq;
@@ -696,7 +740,6 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       let bytes = ceval env ~loc bytes in
       let rreq =
         Comm.post_recv s.comm ~rank ~src ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~callpath
       in
       s.clock.(rank) <- s.clock.(rank) +. s.net.Network.recv_overhead;
       frame.freqs.(slot) <- rreq
@@ -705,7 +748,7 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       let t0 = s.clock.(rank) in
       await_one s rank r;
       wait := s.clock.(rank) -. t0;
-      if tools then deps := dep_of_req r
+      if tools then deps := dep_of_req s r
   | KWaitall { slots } ->
       let rs =
         Array.map (fun (slot, name) -> get_req frame ~loc slot name) slots
@@ -713,7 +756,7 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       let t0 = s.clock.(rank) in
       await_many s rank rs;
       wait := s.clock.(rank) -. t0;
-      if tools then deps := List.concat_map dep_of_req (Array.to_list rs)
+      if tools then deps := List.concat_map (dep_of_req s) (Array.to_list rs)
   | KSendrecv { dest; stag; sbytes; src; rtag; rbytes } ->
       let dst = ceval env ~loc dest in
       let stag = ceval env ~loc stag in
@@ -723,11 +766,11 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       let rbytes = ceval env ~loc rbytes in
       let sreq =
         Comm.send s.comm ~src:rank ~dst ~tag:stag ~bytes:sbytes
-          ~time:s.clock.(rank) ~loc ~callpath
+          ~time:s.clock.(rank) ~loc ~site
       in
       let rreq =
         Comm.post_recv s.comm ~rank ~src ~tag:rtag ~bytes:rbytes
-          ~time:s.clock.(rank) ~loc ~callpath
+          ~time:s.clock.(rank) ~loc
       in
       s.clock.(rank) <-
         s.clock.(rank) +. s.net.Network.send_overhead
@@ -737,7 +780,7 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       wait := s.clock.(rank) -. t0;
       if tools then begin
         sends := [ (dst, stag, sbytes) ];
-        deps := dep_of_req rreq
+        deps := dep_of_req s rreq
       end
   | KColl { bytes } ->
       let bytes = ceval env ~loc bytes in
@@ -774,7 +817,8 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
   s.mpi_sec.(rank) <- s.mpi_sec.(rank) +. (exit_time -. enter_time);
   s.wait_sec.(rank) <- s.wait_sec.(rank) +. wait;
   if tools then begin
-    let ctx_span = { Instrument.rank; time = enter_time; loc; callpath } in
+    let callpath = s.node_paths.(node) in
+    let ctx_span = { Instrument.rank; time = enter_time; loc; callpath; site } in
     let span_overhead =
       tool_sum s.cfg (fun tool ->
           tool.Instrument.on_interval ctx_span ~stop:exit_time
@@ -868,7 +912,9 @@ let rec drive s =
 
 let run_body ~cfg (program : Ast.program) =
   let merged_params = merge_params program cfg.params in
-  let cmain = compile_program ~nprocs:cfg.nprocs ~params:merged_params program in
+  let cmain, nsid =
+    compile_program ~nprocs:cfg.nprocs ~params:merged_params program
+  in
   let n = cfg.nprocs in
   let comm = Comm.create ~net:cfg.net ~nprocs:n in
   let s =
@@ -895,7 +941,11 @@ let run_body ~cfg (program : Ast.program) =
       conts = Array.make n None;
       resume_at = Array.make n 0.0;
       wakes = Array.make n Wake_none;
-      callpaths = Array.make n [];
+      nsid = max 1 nsid;
+      cnode = Array.make n 0;
+      node_paths = [| [] |];
+      nnodes = 1;
+      children = [||];
       kill_at =
         Array.init n (fun rank ->
             match Faults.kill_time cfg.faults ~rank with

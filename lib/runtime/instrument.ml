@@ -14,6 +14,9 @@ type ctx = {
   time : float;  (* local clock at the start of the event *)
   loc : Loc.t;
   callpath : Loc.t list;  (* call-site locations, outermost first *)
+  site : int;
+      (* dense id of (call context, statement) within one run: equal
+         sites have equal (callpath, loc), so tools memoize on it *)
 }
 
 type activity =
@@ -26,6 +29,7 @@ type peer_dep = {
   peer_rank : int;
   peer_loc : Loc.t;
   peer_callpath : Loc.t list;
+  peer_site : int;  (* the send's [ctx.site] *)
   dep_tag : int;
   dep_bytes : int;
   send_time : float;  (* peer-local post time *)

@@ -12,6 +12,11 @@ type ctx = {
   time : float;  (** local clock at the start of the event *)
   loc : Loc.t;
   callpath : Loc.t list;  (** call-site locations, outermost first *)
+  site : int;
+      (** dense id of the (call context, statement) pair, stable within
+          one run: two events with equal sites have equal
+          [(callpath, loc)].  Ids are not comparable across runs — a
+          tool memoizing on them keeps its memo for one run only. *)
 }
 
 type activity =
@@ -24,6 +29,7 @@ type peer_dep = {
   peer_rank : int;
   peer_loc : Loc.t;
   peer_callpath : Loc.t list;
+  peer_site : int;  (** the send's {!ctx.site}, same run *)
   dep_tag : int;
   dep_bytes : int;
   send_time : float;  (** peer-local post time *)

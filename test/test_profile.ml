@@ -287,6 +287,178 @@ let test_profiler_overhead_positive () =
   check_bool "overhead below 20%" true
     (instrumented.Exec.elapsed < 1.2 *. bare.Exec.elapsed)
 
+(* --- call-context sites --- *)
+
+(* A tool that checks the site contract on every event it sees: within
+   one run a site names one (callpath, loc), and the memoized lookup
+   equals [Index.find] on that pair, unresolved results included.
+   Returns the tool and its count of checked contexts. *)
+let site_checker index =
+  let named = Hashtbl.create 64 in
+  let memo = Index.memo index in
+  let checked = ref 0 in
+  let show callpath loc =
+    String.concat ">" (List.map Loc.to_string (callpath @ [ loc ]))
+  in
+  let check ~site ~callpath ~loc =
+    incr checked;
+    (match Hashtbl.find_opt named site with
+    | None -> Hashtbl.add named site (callpath, loc)
+    | Some (cp, l) ->
+        if not (List.equal Loc.equal cp callpath && Loc.equal l loc) then
+          Alcotest.failf "site %d names both %s and %s" site (show cp l)
+            (show callpath loc));
+    if
+      Index.find_site memo ~site ~callpath ~loc
+      <> Index.find index ~callpath ~loc
+    then
+      Alcotest.failf "site %d (%s): memo disagrees with Index.find" site
+        (show callpath loc)
+  in
+  let on_ctx (ctx : Instrument.ctx) =
+    check ~site:ctx.site ~callpath:ctx.callpath ~loc:ctx.loc
+  in
+  let tool =
+    {
+      (Instrument.nil "site-check") with
+      on_interval =
+        (fun ctx ~stop:_ _ ->
+          on_ctx ctx;
+          0.0);
+      on_mpi_exit =
+        (fun ctx info ->
+          on_ctx ctx;
+          List.iter
+            (fun (d : Instrument.peer_dep) ->
+              check ~site:d.peer_site ~callpath:d.peer_callpath
+                ~loc:d.peer_loc)
+            info.deps;
+          0.0);
+      on_icall =
+        (fun ctx ~target:_ ->
+          on_ctx ctx;
+          0.0);
+    }
+  in
+  (tool, checked)
+
+(* One run with the profiler and a fresh checker attached side by side;
+   returns the number of checked contexts. *)
+let checked_run ?params ?cost ~index ~nprocs prog =
+  let profiler = Profiler.create ~index ~nprocs () in
+  let checker, checked = site_checker index in
+  let cfg =
+    Exec.config ~nprocs ?params ?cost
+      ~tools:[ Profiler.tool profiler; checker ]
+      ()
+  in
+  ignore (Exec.run ~cfg prog : Exec.result);
+  !checked
+
+let test_sites_registry () =
+  List.iter
+    (fun (e : Scalana_apps.Registry.entry) ->
+      let prog = e.make () in
+      let _, _, _, index = static_of prog in
+      List.iter
+        (fun nprocs ->
+          let n = checked_run ~cost:e.cost ~index ~nprocs prog in
+          check_bool (Printf.sprintf "%s np=%d checked" e.name nprocs) true
+            (n > 0))
+        [ 4; 16 ])
+    Scalana_apps.Registry.all
+
+(* Recursion and an indirect call, before and after the run that
+   splices the icall targets into the index. *)
+let test_sites_recursive_indirect () =
+  let static = Scalana.Static.analyze (recursion_program ()) in
+  let index = static.Scalana.Static.index in
+  let before = checked_run ~index ~nprocs:4 static.program in
+  ignore (Scalana.Prof.run static ~nprocs:4 () : Scalana.Prof.run);
+  let after = checked_run ~index ~nprocs:4 static.program in
+  check_bool "contexts checked" true (before > 0 && after > 0)
+
+(* Each elastic epoch is its own run, with its own site numbering. *)
+let test_sites_elastic () =
+  let e = List.hd Scalana_apps.Registry.elastic in
+  let plan = Option.get e.elastic_plan in
+  let prog = e.make () in
+  let _, _, _, index = static_of prog in
+  let epochs, _ = Elastic.membership plan ~nprocs:8 in
+  check_bool "membership changes" true (List.length epochs > 1);
+  List.iter
+    (fun (ep : Elastic.epoch) ->
+      let params =
+        [ (plan.lo_param, ep.e_lo); (plan.hi_param, ep.e_hi) ]
+      in
+      let n =
+        checked_run ~params ~cost:e.cost ~index
+          ~nprocs:(Array.length ep.e_members) prog
+      in
+      check_bool "epoch checked" true (n > 0))
+    epochs
+
+(* An indirect call whose targets carry enough work to be sampled. *)
+let icall_program () =
+  let open Expr.Infix in
+  let b = Builder.create ~file:"icall.mmp" ~name:"icall" () in
+  let target name =
+    Builder.func b name (fun () ->
+        [
+          Builder.comp b ~label:(name ^ "_work") ~flops:(i 20_000_000)
+            ~mem:(i 20_000_000) ();
+        ])
+  in
+  target "alpha";
+  target "beta";
+  Builder.func b "main" (fun () ->
+      [
+        Builder.loop b ~var:"it" ~count:(i 20) (fun () ->
+            [
+              Builder.icall b ~selector:(rank % i 2) [ "alpha"; "beta" ];
+              Builder.barrier b;
+            ]);
+      ]);
+  Builder.program b
+
+let samples_on (data : Profdata.t) vertex =
+  Array.fold_left
+    (fun acc v ->
+      match v with Some (v : Perfvec.t) -> acc + v.samples | None -> acc)
+    0
+    (Profdata.across_ranks data ~vertex)
+
+(* A site memo lives for one run: the first run's refinement splices
+   alpha's subtree into the index, and the second run must attribute
+   alpha's samples there, not to the callsite the first run resolved
+   the same site to. *)
+let test_memo_per_run () =
+  let static = Scalana.Static.analyze (icall_program ()) in
+  let callsite =
+    List.hd
+      (Psg.find_all
+         (fun v ->
+           match v.Vertex.kind with
+           | Vertex.Callsite { callee = None; _ } -> true
+           | _ -> false)
+         (Scalana.Static.psg static))
+  in
+  let first = Scalana.Prof.run static ~nprocs:4 () in
+  check_bool "first run samples the callsite" true
+    (samples_on first.data callsite.Vertex.id > 0);
+  let alpha =
+    Psg.find_all
+      (fun v ->
+        match v.Vertex.kind with
+        | Vertex.Comp { label = Some "alpha_work"; _ } -> true
+        | _ -> false)
+      (Scalana.Static.psg static)
+  in
+  check_int "alpha spliced once" 1 (List.length alpha);
+  let second = Scalana.Prof.run static ~nprocs:4 () in
+  check_bool "second run samples the spliced vertex" true
+    (samples_on second.data (List.hd alpha).Vertex.id > 0)
+
 let () =
   Alcotest.run "profile"
     [
@@ -329,5 +501,13 @@ let () =
             test_timeline_truncation;
           Alcotest.test_case "zero overhead" `Quick
             test_timeline_zero_overhead;
+        ] );
+      ( "sites",
+        [
+          Alcotest.test_case "registry np 4/16" `Quick test_sites_registry;
+          Alcotest.test_case "recursive and indirect" `Quick
+            test_sites_recursive_indirect;
+          Alcotest.test_case "elastic epochs" `Quick test_sites_elastic;
+          Alcotest.test_case "memo per run" `Quick test_memo_per_run;
         ] );
     ]
