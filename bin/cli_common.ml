@@ -74,6 +74,71 @@ let registry_elastic_plan (program : Ast.program) =
   | Some e -> e.elastic_plan
   | None -> None
 
+(* The one read path of the session-reading executables: open the
+   session, surface what the salvage reader recovered from, and reject a
+   session with nothing to analyse. *)
+let load_session dir =
+  let s = Scalana.Artifact.load_session dir in
+  List.iter
+    (fun i ->
+      Printf.eprintf "scalana: warning: %s\n%!"
+        (Scalana.Artifact.issue_message i))
+    s.issues;
+  if s.runs = [] then
+    failwith
+      (Printf.sprintf "%s: session has no profiles; run scalana-prof first"
+         dir);
+  s
+
+(* The non-scalable test fits across scales: one scale supports no
+   verdict, and an empty report must not pass for a clean one. *)
+let require_two_scales (s : Scalana.Artifact.session) =
+  match List.sort_uniq compare (List.map fst s.runs) with
+  | [ np ] ->
+      failwith
+        (Printf.sprintf
+           "session has profiles at one scale only (np=%d); detection needs \
+            at least two: run scalana-prof at another --np"
+           np)
+  | _ -> ()
+
+(* Re-simulate the session deterministically at scale [np] (default: the
+   session's largest) with the timeline recorder attached, under the
+   machine model the profiles were collected with. *)
+let session_timeline ~config ?np (s : Scalana.Artifact.session) =
+  let nprocs =
+    match np with
+    | Some n ->
+        if n <= 0 then failwith "--timeline-np must be positive";
+        n
+    | None -> List.fold_left (fun acc (n, _) -> max acc n) 1 s.runs
+  in
+  let cost = registry_cost s.static.Scalana.Static.program in
+  Scalana.Pipeline.rank_timeline ~config ~cost s.static ~nprocs
+
+(* Write what --trace and --metrics-out asked for. *)
+let export_observability ~trace ~metrics_out =
+  (match trace with
+  | Some path ->
+      Scalana_obs.Obs.export_trace ~path;
+      Printf.eprintf
+        "scalana: trace written to %s (open in Perfetto / about:tracing)\n%!"
+        path
+  | None -> ());
+  match metrics_out with
+  | Some path ->
+      (* .prom selects the scrapeable OpenMetrics text format; anything
+         else keeps the JSON dump *)
+      if Filename.check_suffix path ".prom" then begin
+        Scalana_obs.Obs.export_openmetrics ~path;
+        Printf.eprintf "scalana: OpenMetrics written to %s\n%!" path
+      end
+      else begin
+        Scalana_obs.Obs.export_metrics ~path;
+        Printf.eprintf "scalana: metrics written to %s\n%!" path
+      end
+  | None -> ()
+
 let program_arg =
   Arg.(
     value
@@ -119,6 +184,48 @@ let domains_arg =
           "Worker domains for the analysis fan-outs (PPG builds, log-log \
            fits); 1 forces the sequential path.  Results are identical \
            either way.")
+
+let static_crosscheck_arg =
+  Arg.(
+    value & flag
+    & info [ "static-crosscheck" ]
+        ~doc:
+          "Cross-check each non-scalable vertex's fitted slope against \
+           the symbolic communication model evaluated at the session's \
+           scales: agreements annotate the ranking \
+           ($(b,[predicted O(p), ... — confirmed])) and raise root-cause \
+           confidence; divergences are listed as model mismatches (text \
+           and HTML reports).")
+
+let timeline_np_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "timeline-np" ] ~docv:"N"
+        ~doc:
+          "Scale of the timeline replay (default: the largest scale \
+           profiled in the session).")
+
+let trace_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "trace" ] ~docv:"FILE"
+        ~doc:
+          "Trace the command's own phases and write a Chrome trace_event \
+           JSON to $(docv) (open in Perfetto or about:tracing; one track \
+           per analysis domain).  Also adds a pipeline-cost section to the \
+           output.")
+
+let metrics_out_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "metrics-out" ] ~docv:"FILE"
+        ~doc:
+          "Write the command's self-metrics (counters, gauges, duration \
+           histograms, per-phase totals) to $(docv): OpenMetrics/Prometheus \
+           text when $(docv) ends in $(b,.prom), JSON otherwise.")
 
 let exits =
   Cmd.Exit.info exit_ok ~doc:"on success."

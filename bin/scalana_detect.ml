@@ -8,8 +8,8 @@
 
 open Cmdliner
 
-let run session abnorm_thd domains follow_def_use static_crosscheck elastic
-    trace metrics_out wait_states rank_trace timeline_np history history_label
+let run session abnorm_thd domains follow_def_use static_crosscheck trace
+    metrics_out wait_states rank_trace timeline_np history history_label
     history_file =
   Cli_common.run_cli @@ fun () ->
   (* observability on before the session loads, so artifact salvage work
@@ -31,22 +31,8 @@ let run session abnorm_thd domains follow_def_use static_crosscheck elastic
     end
     else []
   in
-  let s = Scalana.Artifact.load_session session in
-  List.iter
-    (fun i ->
-      Printf.eprintf "scalana: warning: %s\n%!" (Scalana.Artifact.issue_message i))
-    s.issues;
-  if s.runs = [] then failwith "session has no profiles; run scalana-prof first";
-  (* the non-scalable test fits across scales: one scale supports no
-     verdict, and an empty report must not pass for a clean one *)
-  (match List.sort_uniq compare (List.map fst s.runs) with
-  | [ np ] ->
-      failwith
-        (Printf.sprintf
-           "session has profiles at one scale only (np=%d); detection needs \
-            at least two: run scalana-prof at another --np"
-           np)
-  | _ -> ());
+  let s = Cli_common.load_session session in
+  Cli_common.require_two_scales s;
   let config =
     {
       Scalana.Config.default with
@@ -54,23 +40,11 @@ let run session abnorm_thd domains follow_def_use static_crosscheck elastic
       analysis_domains = domains;
       follow_def_use;
       static_crosscheck;
-      elastic;
     }
   in
   let timeline =
-    if wait_states || rank_trace <> None then begin
-      (* re-simulate deterministically at the requested scale (default:
-         the session's largest) with the timeline recorder attached *)
-      let nprocs =
-        match timeline_np with
-        | Some n ->
-            if n <= 0 then failwith "--timeline-np must be positive";
-            n
-        | None -> List.fold_left (fun acc (n, _) -> max acc n) 1 s.runs
-      in
-      let cost = Cli_common.registry_cost s.static.Scalana.Static.program in
-      Some (Scalana.Pipeline.rank_timeline ~config ~cost s.static ~nprocs)
-    end
+    if wait_states || rank_trace <> None then
+      Some (Cli_common.session_timeline ~config ?np:timeline_np s)
     else None
   in
   let pipeline =
@@ -89,26 +63,7 @@ let run session abnorm_thd domains follow_def_use static_crosscheck elastic
       history_file
       (List.length prior + 1)
   end;
-  (match trace with
-  | Some path ->
-      Scalana_obs.Obs.export_trace ~path;
-      Printf.eprintf
-        "scalana: trace written to %s (open in Perfetto / about:tracing)\n%!"
-        path
-  | None -> ());
-  (match metrics_out with
-  | Some path ->
-      (* .prom selects the scrapeable OpenMetrics text format; anything
-         else keeps the JSON dump *)
-      if Filename.check_suffix path ".prom" then begin
-        Scalana_obs.Obs.export_openmetrics ~path;
-        Printf.eprintf "scalana: OpenMetrics written to %s\n%!" path
-      end
-      else begin
-        Scalana_obs.Obs.export_metrics ~path;
-        Printf.eprintf "scalana: metrics written to %s\n%!" path
-      end
-  | None -> ());
+  Cli_common.export_observability ~trace ~metrics_out;
   (match (rank_trace, timeline) with
   | Some path, Some tl ->
       Scalana_profile.Timeline.export_trace
@@ -133,50 +88,6 @@ let follow_def_use_arg =
           "Backtrack along the explicit def-use data-dependence edges where \
            available instead of sibling order (default: the paper's \
            Algorithm 1).")
-
-let static_crosscheck_arg =
-  Arg.(
-    value & flag
-    & info [ "static-crosscheck" ]
-        ~doc:
-          "Cross-check each non-scalable vertex's fitted slope against \
-           the symbolic communication model evaluated at the session's \
-           scales: agreements annotate the ranking \
-           ($(b,[predicted O(p), ... — confirmed])) and raise root-cause \
-           confidence; divergences are listed as model mismatches.")
-
-let elastic_arg =
-  Arg.(
-    value & flag
-    & info [ "elastic" ]
-        ~doc:
-          "Render the elastic-execution evidence stored with the profiles: \
-           a membership-timeline section per scale (epochs, effective \
-           process counts) and the recovery-protocol costs \
-           (detect/agree/repartition, recovery-stall attribution).  \
-           Sessions whose runs carry no membership changes render \
-           byte-identically with or without this flag.")
-
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Trace the pipeline's own phases and write a Chrome trace_event \
-           JSON to $(docv) (open in Perfetto or about:tracing; one track \
-           per analysis domain).  Also adds a pipeline-cost section to the \
-           report.")
-
-let metrics_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:
-          "Write the pipeline's self-metrics (counters, gauges, duration \
-           histograms, per-phase totals) to $(docv): OpenMetrics/Prometheus \
-           text when $(docv) ends in $(b,.prom), JSON otherwise.")
 
 let history_arg =
   Arg.(
@@ -225,24 +136,16 @@ let rank_trace_arg =
            --trace file without id collisions).  Implies the timeline \
            replay of --wait-states.")
 
-let timeline_np_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "timeline-np" ] ~docv:"N"
-        ~doc:
-          "Scale of the timeline replay (default: the largest scale \
-           profiled in the session).")
-
 let cmd =
   Cmd.v
     (Cmd.info "scalana-detect" ~exits:Cli_common.exits
        ~doc:"Scaling-loss detection and root-cause backtracking (offline)")
     Term.(
       const run $ Cli_common.session_arg $ Cli_common.abnorm_thd_arg
-      $ Cli_common.domains_arg $ follow_def_use_arg $ static_crosscheck_arg
-      $ elastic_arg $ trace_arg $ metrics_out_arg $ wait_states_arg
-      $ rank_trace_arg $ timeline_np_arg $ history_arg $ history_label_arg
+      $ Cli_common.domains_arg $ follow_def_use_arg
+      $ Cli_common.static_crosscheck_arg $ Cli_common.trace_arg
+      $ Cli_common.metrics_out_arg $ wait_states_arg $ rank_trace_arg
+      $ Cli_common.timeline_np_arg $ history_arg $ history_label_arg
       $ history_file_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -13,24 +13,12 @@
 open Cmdliner
 module Diff = Scalana_detect.Diff
 
+(* One scale suffices here: time and wait deltas need no fit, and the
+   slope of a single-scale session is simply absent from its summary. *)
 let load_summary ~config ~wait_states dir =
-  let s = Scalana.Artifact.load_session dir in
-  List.iter
-    (fun i ->
-      Printf.eprintf "scalana: warning: %s\n%!"
-        (Scalana.Artifact.issue_message i))
-    s.issues;
-  if s.runs = [] then
-    failwith
-      (Printf.sprintf "%s: session has no profiles; run scalana-prof first"
-         dir);
+  let s = Cli_common.load_session dir in
   let timeline =
-    if wait_states then begin
-      let nprocs = List.fold_left (fun acc (n, _) -> max acc n) 1 s.runs in
-      let cost = Cli_common.registry_cost s.static.Scalana.Static.program in
-      Some (Scalana.Pipeline.rank_timeline ~config ~cost s.static ~nprocs)
-    end
-    else None
+    if wait_states then Some (Cli_common.session_timeline ~config s) else None
   in
   let pipe = Scalana.Pipeline.detect_session ~config ?timeline s in
   Scalana.Pipeline.diff_summary ~label:dir pipe
@@ -56,24 +44,7 @@ let run base cand abnorm_thd domains wait_states slope_tol time_tol wait_tol
     print_string
       (Fmt.str "%a" Scalana_detect.Report.pp_phase_costs
          (Scalana_obs.Obs.phase_summary ()));
-  (match trace with
-  | Some path ->
-      Scalana_obs.Obs.export_trace ~path;
-      Printf.eprintf
-        "scalana: trace written to %s (open in Perfetto / about:tracing)\n%!"
-        path
-  | None -> ());
-  (match metrics_out with
-  | Some path ->
-      if Filename.check_suffix path ".prom" then begin
-        Scalana_obs.Obs.export_openmetrics ~path;
-        Printf.eprintf "scalana: OpenMetrics written to %s\n%!" path
-      end
-      else begin
-        Scalana_obs.Obs.export_metrics ~path;
-        Printf.eprintf "scalana: metrics written to %s\n%!" path
-      end
-  | None -> ());
+  Cli_common.export_observability ~trace ~metrics_out;
   (* degraded inputs dominate, as in scalana-detect: a regression (or a
      clean verdict) computed over fault-damaged data is not trustworthy *)
   if diff.Diff.degraded then Cli_common.exit_bad_input
@@ -135,25 +106,6 @@ let min_fraction_arg =
           "Ignore vertices below this share of total time on both sides \
            (noise floor).")
 
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Trace the diff's own phases (session analysis, summarize, \
-           compare) and write a Chrome trace_event JSON to $(docv); also \
-           prints the pipeline-cost section.")
-
-let metrics_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:
-          "Write self-metrics to $(docv): OpenMetrics/Prometheus text when \
-           $(docv) ends in $(b,.prom), JSON otherwise.")
-
 let cmd =
   Cmd.v
     (Cmd.info "scalana-diff" ~exits:Cli_common.exits
@@ -163,7 +115,7 @@ let cmd =
     Term.(
       const run $ base_arg $ cand_arg $ Cli_common.abnorm_thd_arg
       $ Cli_common.domains_arg $ wait_states_arg $ slope_tol_arg
-      $ time_tol_arg $ wait_tol_arg $ min_fraction_arg $ trace_arg
-      $ metrics_out_arg)
+      $ time_tol_arg $ wait_tol_arg $ min_fraction_arg $ Cli_common.trace_arg
+      $ Cli_common.metrics_out_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -1,32 +1,19 @@
 (* scalana-viewer: render the detection result with source snippets (the
    text rendering of the Fig. 9 GUI).  Exits 0 on success, 2 on a
-   missing or corrupt session. *)
+   missing or corrupt session or one profiled at fewer than two
+   scales. *)
 
 open Cmdliner
 
-let run session context html timeline timeline_np static_crosscheck elastic =
+let run session context html timeline timeline_np static_crosscheck =
   Cli_common.run_cli @@ fun () ->
-  let s = Scalana.Artifact.load_session session in
-  List.iter
-    (fun i ->
-      Printf.eprintf "scalana: warning: %s\n%!" (Scalana.Artifact.issue_message i))
-    s.issues;
-  if s.runs = [] then failwith "session has no profiles; run scalana-prof first";
+  let s = Cli_common.load_session session in
+  Cli_common.require_two_scales s;
+  let config = { Scalana.Config.default with static_crosscheck } in
   let tl =
-    if timeline then begin
-      let nprocs =
-        match timeline_np with
-        | Some n ->
-            if n <= 0 then failwith "--timeline-np must be positive";
-            n
-        | None -> List.fold_left (fun acc (n, _) -> max acc n) 1 s.runs
-      in
-      let cost = Cli_common.registry_cost s.static.Scalana.Static.program in
-      Some (Scalana.Pipeline.rank_timeline ~cost s.static ~nprocs)
-    end
+    if timeline then Some (Cli_common.session_timeline ~config ?np:timeline_np s)
     else None
   in
-  let config = { Scalana.Config.default with static_crosscheck; elastic } in
   let pipeline = Scalana.Pipeline.detect_session ~config ?timeline:tl s in
   (match html with
   | Some path ->
@@ -59,41 +46,13 @@ let timeline_arg =
            compute, 'M' MPI, 'w' wait) instead of the root-cause view; \
            with --html, the report gains the wait-state section.")
 
-let timeline_np_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "timeline-np" ] ~docv:"N"
-        ~doc:
-          "Scale of the timeline replay (default: the largest scale \
-           profiled in the session).")
-
-let static_crosscheck_arg =
-  Arg.(
-    value & flag
-    & info [ "static-crosscheck" ]
-        ~doc:
-          "Cross-check the static complexity predictions against the \
-           measured log-log fits; the report (text and HTML) gains the \
-           cross-check annotations and section.")
-
-let elastic_arg =
-  Arg.(
-    value & flag
-    & info [ "elastic" ]
-        ~doc:
-          "Render the elastic-execution evidence stored with the profiles \
-           (membership timelines, recovery-protocol costs); the \
-           --timeline rows additionally tag ranks that left, joined or \
-           were stranded.  Non-elastic sessions render byte-identically \
-           with or without this flag.")
-
 let cmd =
   Cmd.v
     (Cmd.info "scalana-viewer" ~exits:Cli_common.exits
        ~doc:"Root-cause source viewer")
     Term.(
       const run $ Cli_common.session_arg $ context_arg $ html_arg
-      $ timeline_arg $ timeline_np_arg $ static_crosscheck_arg $ elastic_arg)
+      $ timeline_arg $ Cli_common.timeline_np_arg
+      $ Cli_common.static_crosscheck_arg)
 
 let () = exit (Cmd.eval' cmd)

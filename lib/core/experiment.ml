@@ -39,7 +39,7 @@ let tool_comparison ?(config = Config.default) ?(cost = Costmodel.default)
   let scalana =
     let static = Static.analyze ~max_loop_depth:config.Config.max_loop_depth program in
     let r =
-      Prof.run_with_retry ~retries:config.Config.max_run_retries ~config
+      Prof.run_with_retry ~retries:Prof.max_run_retries ~config
         ~cost ~net ~faults ~params static ~nprocs ()
     in
     {

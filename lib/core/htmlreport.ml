@@ -354,7 +354,7 @@ let render (pipe : Pipeline.t) =
              %.6fs unattributed</p>"
           ws.Waitstate.truncated ws.Waitstate.unattributed);
 
-  (* elastic membership timeline & recovery, only under --elastic *)
+  (* elastic membership timeline & recovery, only for elastic sessions *)
   List.iter
     (fun (np, (info : Scalana_runtime.Elastic.info)) ->
       let module E = Scalana_runtime.Elastic in

@@ -57,9 +57,7 @@ let rank_timeline ?(config = Config.default) ?(cost = Costmodel.default)
       ~index:static.Static.index ~nprocs ()
   in
   let recorder =
-    Scalana_profile.Timeline.create
-      ~config:(Config.timeline_config config)
-      ~index:static.Static.index ~nprocs ()
+    Scalana_profile.Timeline.create ~index:static.Static.index ~nprocs ()
   in
   let cfg =
     Exec.config ~nprocs ~params ~cost ~net ~inject
@@ -174,20 +172,18 @@ let detect_with ?(config = Config.default) ?pool
         }
       else analysis
     in
-    (* elastic membership/recovery summaries travel on the runs; attach
-       them only under --elastic, so default reports are unchanged even
-       for sessions that were profiled elastically *)
+    (* elastic membership/recovery summaries travel on the runs: only a
+       run profiled under a plan carries one, so fixed-membership
+       sessions attach nothing and their reports are unchanged *)
     let analysis =
-      if config.Config.elastic then
-        {
-          analysis with
-          Rootcause.elastic =
-            List.filter_map
-              (fun (n, (r : Prof.run)) ->
-                Option.map (fun i -> (n, i)) r.Prof.elastic)
-              runs;
-        }
-      else analysis
+      {
+        analysis with
+        Rootcause.elastic =
+          List.filter_map
+            (fun (n, (r : Prof.run)) ->
+              Option.map (fun i -> (n, i)) r.Prof.elastic)
+            runs;
+      }
     in
     (crossscale, analysis)
   in
@@ -283,7 +279,7 @@ let run ?(config = Config.default) ?(cost = Costmodel.default)
               Prof.run_elastic ~config ~cost ~net ~params ~plan static
                 ~nprocs ()
           | None ->
-              Prof.run_with_retry ~retries:config.Config.max_run_retries
+              Prof.run_with_retry ~retries:Prof.max_run_retries
                 ~config ~cost ~net ~inject ~faults ~params static ~nprocs () )
       in
       let runs =

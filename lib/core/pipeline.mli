@@ -89,15 +89,14 @@ val detect_session :
     across domains, and the result — report included — is byte-identical
     to the sequential pipeline.  A [faults] plan injects deterministic
     failures: dropped scales never run, fault-killed runs get up to
-    [config.max_run_retries] fresh attempts, and whatever still degrades
+    {!Prof.max_run_retries} fresh attempts, and whatever still degrades
     is analyzed over the surviving ranks.  [timeline] additionally
     captures a rank timeline at the largest kept scale and appends the
     wait-state section to the report (default [false]: the report stays
     byte-identical to a build without the timeline layer).  [elastic]
     replaces each scale's fixed run with an elastic session driven by
-    the plan ({!Prof.run_elastic}); pair it with
-    [config.elastic = true] to render the membership-timeline and
-    recovery sections. *)
+    the plan ({!Prof.run_elastic}), and the report gains the
+    membership-timeline and recovery sections. *)
 val run :
   ?config:Config.t ->
   ?cost:Costmodel.t ->

@@ -116,11 +116,6 @@ let run ?(config = Config.default) ?(cost = Costmodel.default)
     elastic = None;
   }
 
-(* Profile a scale, re-drawing probabilistic faults on each retry: a run
-   that lost ranks is attempted again with a fresh attempt number (same
-   plan seed, so the whole sequence is reproducible) up to [retries]
-   extra times.  The last attempt is returned even if still degraded —
-   the detector then works with the surviving ranks. *)
 (* Deterministic exponential backoff before retry [attempt + 1]: the
    schedule a production launcher would sleep out between resubmissions
    (simulated — nothing actually sleeps).  Recorded per attempt on the
@@ -130,6 +125,14 @@ let backoff_base = 0.05
 
 let backoff_delay ~attempt = backoff_base *. (2.0 ** float_of_int (attempt - 1))
 
+(* Extra attempts the pipeline grants a fault-killed run. *)
+let max_run_retries = 2
+
+(* Profile a scale, re-drawing probabilistic faults on each retry: a run
+   that lost ranks is attempted again with a fresh attempt number (same
+   plan seed, so the whole sequence is reproducible) up to [retries]
+   extra times.  The last attempt is returned even if still degraded —
+   the detector then works with the surviving ranks. *)
 let run_with_retry ?(retries = 0) ?config ?cost ?net ?inject
     ?(faults = Faults.empty) ?params ?measure_overhead static ~nprocs () =
   let rec go ~delays attempt =

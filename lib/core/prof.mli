@@ -49,6 +49,11 @@ val run :
     the run and observed as [prof.retry_backoff_seconds]. *)
 val backoff_delay : attempt:int -> float
 
+(** Extra attempts (fresh fault draws) {!Pipeline.run} and
+    {!Experiment.tool_comparison} grant a run that lost ranks to
+    injected faults: [2]. *)
+val max_run_retries : int
+
 (** Like {!run}, retrying (with attempt numbers 2, 3, …) while the run is
     {!degraded}, up to [retries] extra attempts; the last attempt is
     returned even if still degraded. *)

@@ -32,11 +32,6 @@ let sanitize a =
   end
   else (a, 0)
 
-let mean a =
-  let a, _ = sanitize a in
-  if Array.length a = 0 then 0.0
-  else Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
-
 let median a =
   let a, _ = sanitize a in
   let n = Array.length a in
@@ -46,16 +41,6 @@ let median a =
     Array.sort compare b;
     if n mod 2 = 1 then b.(n / 2) else (b.((n / 2) - 1) +. b.(n / 2)) /. 2.0
   end
-
-let variance a =
-  let a, _ = sanitize a in
-  let m = mean a in
-  if Array.length a = 0 then 0.0
-  else
-    Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 a
-    /. float_of_int (Array.length a)
-
-let stddev a = sqrt (variance a)
 
 (* 1-D k-means (Lloyd's algorithm, deterministic seeding at quantiles). *)
 let kmeans ~k a =
@@ -104,15 +89,13 @@ let kmeans ~k a =
     Array.init k (fun c -> (centroids.(c), sizes.(c)))
   end
 
-(* --- slice variants ---
+(* --- slice statistics ---
 
-   The same statistics computed directly over a columnar row slice
-   [off, off + len) without materializing the per-vertex array first.
-   Every scan visits cells in rank order, which is exactly the order the
-   array versions see after [sanitize] (survivors keep their relative
-   order), so each slice function is bit-identical to its array
-   counterpart on the copied row — the property the differential suite
-   and the golden reports pin. *)
+   Computed directly over a columnar row slice [off, off + len) without
+   materializing the per-vertex array first.  Every scan visits cells in
+   rank order, the order [sanitize] keeps its survivors in, so a slice
+   statistic equals the same statistic of the copied, sanitized row —
+   the property the differential suite and the golden reports pin. *)
 
 let quarantined_in_slice col ~off ~len =
   let n = ref 0 in
@@ -183,18 +166,20 @@ let variance_slice col ~off ~len =
   done;
   if !n = 0 then 0.0 else !acc /. float_of_int !n
 
-let apply strategy values =
+(* [apply] over a columnar row slice, without the row copy.  For the
+   order-insensitive strategies the scan runs in place; Median and
+   Kmeans gather the survivors first (they need a sortable array). *)
+let apply_slice strategy col ~off ~len =
   match strategy with
   | Single r ->
-      if r < Array.length values && not (quarantined values.(r)) then
-        values.(r)
+      if r < len && not (quarantined col.(off + r)) then col.(off + r)
       else 0.0
-  | Mean -> mean values
-  | Median -> median values
-  | Variance_weighted -> mean values +. stddev values
+  | Mean -> mean_slice col ~off ~len
+  | Median -> median_slice col ~off ~len
+  | Variance_weighted ->
+      mean_slice col ~off ~len +. sqrt (variance_slice col ~off ~len)
   | Kmeans k -> (
-      let values, _ = sanitize values in
-      let clusters = kmeans ~k values in
+      let clusters = kmeans ~k (fst (sanitize_slice col ~off ~len)) in
       (* centroid of the heaviest (largest-time) populated cluster: the
          "busy group" drives the scaling behaviour *)
       match
@@ -208,17 +193,9 @@ let apply strategy values =
       | Some (c, _) -> c
       | None -> 0.0)
 
-(* [apply] over a columnar row slice, without the row copy.  For the
-   order-insensitive strategies the scan runs in place; Median and
-   Kmeans gather the survivors first (they need a sortable array), which
-   is still exactly what the array path hands them. *)
-let apply_slice strategy col ~off ~len =
-  match strategy with
-  | Single r ->
-      if r < len && not (quarantined col.(off + r)) then col.(off + r)
-      else 0.0
-  | Mean -> mean_slice col ~off ~len
-  | Median -> median_slice col ~off ~len
-  | Variance_weighted ->
-      mean_slice col ~off ~len +. sqrt (variance_slice col ~off ~len)
-  | Kmeans k -> apply (Kmeans k) (fst (sanitize_slice col ~off ~len))
+(* The whole-array statistics are the slice ones over [0, length). *)
+let whole f a = f a ~off:0 ~len:(Array.length a)
+let mean a = whole mean_slice a
+let variance a = whole variance_slice a
+let stddev a = sqrt (variance a)
+let apply strategy values = whole (apply_slice strategy) values

@@ -123,10 +123,11 @@ let pp_waitstate ~psg ?ppg (analysis : Rootcause.analysis) ppf
       ws.Waitstate.truncated ws.Waitstate.unattributed
 
 (* Membership timeline and recovery costs of an elastic session;
-   rendered only when the pipeline attached elastic summaries (the
-   --elastic flag), so default reports are untouched.  Recovery stalls
-   are attributed in the wait-state taxonomy's vocabulary: the
-   [recovery-stall] class, blamed on the ranks that left or joined. *)
+   rendered only when the pipeline attached elastic summaries (runs
+   profiled under a plan), so fixed-membership reports are untouched.
+   Recovery stalls are attributed in the wait-state taxonomy's
+   vocabulary: the [recovery-stall] class, blamed on the ranks that left
+   or joined. *)
 let pp_elastic ppf (elastic : (int * Scalana_runtime.Elastic.info) list) =
   let module E = Scalana_runtime.Elastic in
   let ranks = function

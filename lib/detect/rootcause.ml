@@ -32,7 +32,7 @@ type analysis = {
          requested, None by default so reports are unchanged *)
   elastic : (int * Scalana_runtime.Elastic.info) list;
       (* per-nominal-scale elastic-session summaries; attached by the
-         pipeline under --elastic, [] by default *)
+         pipeline from runs profiled under a plan, [] otherwise *)
 }
 
 (* The root cause of a path: among the Comp/Loop vertices the walk

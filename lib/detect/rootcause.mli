@@ -32,8 +32,9 @@ type analysis = {
           always leaves it [None], keeping default reports unchanged) *)
   elastic : (int * Scalana_runtime.Elastic.info) list;
       (** per-nominal-scale elastic-session summaries, sorted by scale;
-          attached by the pipeline under [--elastic] ([analyze] leaves
-          it empty, keeping default reports unchanged) *)
+          attached by the pipeline from runs profiled under an elastic
+          plan ([analyze] leaves it empty; fixed-membership sessions
+          keep it empty) *)
 }
 
 (** Deviation-weighted score of a path step as a root-cause candidate. *)

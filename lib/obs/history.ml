@@ -22,8 +22,8 @@ type entry = {
 
 let default_path = Filename.concat ".scalana" "history.jsonl"
 
-(* Same polynomial/table as Scalana.Artifact; duplicated because this
-   library sits below lib/core in the dependency order. *)
+(* CRC-32 (IEEE 802.3, the zlib polynomial); the artifact format checks
+   its records with the same function. *)
 let crc_table =
   lazy
     (Array.init 256 (fun n ->

@@ -587,15 +587,23 @@ let contains needle hay =
     true
   with Not_found -> false
 
-let elastic_config = { Scalana.Config.default with elastic = true }
+let elastic_run name =
+  let entry = Scalana_apps.Registry.find name in
+  let plan = Option.get entry.elastic_plan in
+  Scalana.Pipeline.run ~config:Scalana.Config.default ~cost:entry.cost
+    ~scales:[ 4; 8 ] ~elastic:plan (entry.make ())
+
+(* no switch gates the elastic evidence: a session profiled under a plan
+   renders it with the plain default config *)
+let test_pipeline_elastic_default_config () =
+  let pipe = elastic_run "cg-shrink" in
+  check_bool "membership section" true
+    (contains "elastic membership timeline" pipe.report);
+  check_bool "elastic evidence attached" true
+    (pipe.analysis.Scalana_detect.Rootcause.elastic <> [])
 
 let test_pipeline_elastic_shrink_degraded () =
-  let entry = Scalana_apps.Registry.find "cg-shrink" in
-  let plan = Option.get entry.elastic_plan in
-  let pipe =
-    Scalana.Pipeline.run ~config:elastic_config ~cost:entry.cost
-      ~scales:[ 4; 8 ] ~elastic:plan (entry.make ())
-  in
+  let pipe = elastic_run "cg-shrink" in
   (* a mid-run failure is a degraded verdict: CI must not read it clean *)
   check_bool "degraded" true (Scalana.Pipeline.degraded pipe);
   check_bool "membership section" true
@@ -614,12 +622,7 @@ let test_pipeline_elastic_shrink_degraded () =
     pipe.analysis.Scalana_detect.Rootcause.elastic
 
 let test_pipeline_elastic_grow_not_degraded () =
-  let entry = Scalana_apps.Registry.find "halo-grow" in
-  let plan = Option.get entry.elastic_plan in
-  let pipe =
-    Scalana.Pipeline.run ~config:elastic_config ~cost:entry.cost
-      ~scales:[ 4; 8 ] ~elastic:plan (entry.make ())
-  in
+  let pipe = elastic_run "halo-grow" in
   (* a planned grow is not a failure: the session stays clean *)
   check_bool "not degraded" false (Scalana.Pipeline.degraded pipe);
   check_bool "membership section" true
@@ -631,18 +634,6 @@ let test_pipeline_elastic_grow_not_degraded () =
         true
         (info.Elastic.effective > float_of_int np))
     pipe.analysis.Scalana_detect.Rootcause.elastic
-
-let test_pipeline_elastic_flag_off_identical () =
-  (* config.elastic on a session with no membership changes must leave
-     the report byte-identical *)
-  let entry = Scalana_apps.Registry.find "cg" in
-  let report config =
-    (Scalana.Pipeline.run ~config ~cost:entry.cost ~scales:[ 4; 8 ]
-       (entry.make ()))
-      .Scalana.Pipeline.report
-  in
-  check_bool "byte-identical" true
-    (String.equal (report Scalana.Config.default) (report elastic_config))
 
 (* A tiny iteration-sliced ring so the seeded property below stays
    cheap: same shape as the registry elastic apps, two orders of
@@ -683,8 +674,7 @@ let prop_elastic_same_seed_byte_identical =
           ]
       in
       let report () =
-        (Scalana.Pipeline.run ~config:elastic_config ~scales:[ 4 ]
-           ~elastic:plan (elastic_ring ()))
+        (Scalana.Pipeline.run ~scales:[ 4 ] ~elastic:plan (elastic_ring ()))
           .Scalana.Pipeline.report
       in
       String.equal (report ()) (report ()))
@@ -784,12 +774,12 @@ let () =
         ] );
       ( "elastic",
         [
+          Alcotest.test_case "evidence renders by default" `Quick
+            test_pipeline_elastic_default_config;
           Alcotest.test_case "shrink degrades the verdict" `Quick
             test_pipeline_elastic_shrink_degraded;
           Alcotest.test_case "grow stays clean" `Quick
             test_pipeline_elastic_grow_not_degraded;
-          Alcotest.test_case "flag off is byte-identical" `Quick
-            test_pipeline_elastic_flag_off_identical;
           prop_elastic_same_seed_byte_identical;
           Alcotest.test_case "retry backoff ladder" `Quick test_retry_backoff;
         ] );
