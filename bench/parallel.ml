@@ -12,15 +12,16 @@
    [engine_throughput]: raw simulator events/second on the cg-weak
    extreme-scale workload (docs/performance.md), the metric the
    zero-allocation engine rework targets.  Each scale point carries the
-   pre-rework engine's measurement as its baseline, and the wall of a
+   pre-rework engine's measurement as its baseline, the minor
+   collections and promoted words of the raw run, and the wall of a
    profiled run ([Prof.run]) at the same point: the profiled/raw ratio
    is self-normalizing, so it means the same on slow and fast hosts. *)
 
 let domains = 4
 
 (* cg-weak sweep points; CI's perf-smoke budget covers the full list
-   (the np=4096 point simulates ~600k events in well under a minute) *)
-let engine_scales = [ 256; 1024; 4096 ]
+   (the np=16384 point simulates ~2.6M events in well under a minute) *)
+let engine_scales = [ 256; 1024; 4096; 16384 ]
 
 (* events/second of the engine before the struct-of-arrays rework
    (list-based matching queues, per-proc records), same workload, same
@@ -70,6 +71,8 @@ type engine_row = {
   np : int;
   events : int;
   wall_s : float;
+  minor_gcs : int;  (* minor collections during the raw run *)
+  promoted : float;  (* words promoted to the major heap, raw run *)
   profiled_s : float;  (* Prof.run wall, same program and scale *)
 }
 
@@ -146,10 +149,11 @@ let write_bench_json () =
           "    { \"np\": %d, \"events\": %d, \"wall_seconds\": %.3f, \
            \"events_per_second\": %.0f, \
            \"baseline_events_per_second\": %.0f, \"speedup\": %.2f, \
+           \"minor_collections\": %d, \"promoted_words\": %.0f, \
            \"profiled_wall_seconds\": %.3f, \"profiled_ratio\": %.2f }"
           r.np r.events r.wall_s evs (engine_baseline r.np)
           (evs /. engine_baseline r.np)
-          r.profiled_s (r.profiled_s /. r.wall_s)
+          r.minor_gcs r.promoted r.profiled_s (r.profiled_s /. r.wall_s)
       in
       add
         "  \"engine\": {\n\
@@ -251,24 +255,33 @@ let engine_throughput () =
       (fun np ->
         let cfg = Scalana_runtime.Exec.config ~nprocs:np ~cost:entry.cost () in
         let prog = entry.make () in
+        let gc0 = Gc.quick_stat () in
         let r, wall_s = timed (fun () -> Scalana_runtime.Exec.run ~cfg prog) in
+        let gc1 = Gc.quick_stat () in
         let static = Scalana.Static.analyze prog in
         let _, profiled_s =
           timed (fun () ->
               Scalana.Prof.run ~cost:entry.cost static ~nprocs:np ())
         in
         let row =
-          { np; events = r.Scalana_runtime.Exec.events; wall_s; profiled_s }
+          {
+            np;
+            events = r.Scalana_runtime.Exec.events;
+            wall_s;
+            minor_gcs = gc1.minor_collections - gc0.minor_collections;
+            promoted = gc1.promoted_words -. gc0.promoted_words;
+            profiled_s;
+          }
         in
         Printf.printf
           "  np=%-6d %9d events %8.3fs  %10.0f ev/s  (baseline %8.0f, %.1fx)  \
-           profiled %8.3fs (%.2fx raw)\n\
+           %4d minor GCs %6.1fM promoted  profiled %8.3fs (%.2fx raw)\n\
            %!"
           np row.events wall_s
           (float_of_int row.events /. wall_s)
           (engine_baseline np)
           (float_of_int row.events /. wall_s /. engine_baseline np)
-          profiled_s (profiled_s /. wall_s);
+          row.minor_gcs (row.promoted /. 1e6) profiled_s (profiled_s /. wall_s);
         row)
       engine_scales
   in

@@ -1,14 +1,17 @@
 (* Discrete-event MPI runtime: interprets a MiniMPI program on [nprocs]
    simulated processes.
 
-   Each simulated process runs as an effect-based fiber with its own local
-   clock; blocking operations perform a [Block] effect and the scheduler
-   resumes the process when the awaited requests or collective complete.
-   Processes are scheduled lowest-clock-first, which makes wildcard
-   message matching deterministic and causally plausible.  Instrumentation
-   tools observe compute intervals and MPI enter/exit events and charge
-   their own overhead onto the process clocks — the same interposition
-   structure as PAPI sampling plus PMPI.
+   Each simulated process has its own local clock and runs on an explicit
+   interpreter stack of activation records (function bodies, loop bodies,
+   branch arms).  A blocking operation parks the process: its stack and
+   the half-done MPI statement stay behind as plain data, and the
+   scheduler finishes the statement and steps the process on when the
+   awaited requests or collective complete.  Processes are scheduled
+   lowest-clock-first, which makes wildcard message matching
+   deterministic and causally plausible.  Instrumentation tools observe
+   compute intervals and MPI enter/exit events and charge their own
+   overhead onto the process clocks — the same interposition structure
+   as PAPI sampling plus PMPI.
 
    The engine is built for np = 4096+ runs: programs are compiled once
    per run into an IR whose variables, parameters and request names are
@@ -334,10 +337,11 @@ let compile_program ~nprocs ~params (program : Ast.program) =
   | Some f -> (f, !nsid)
   | None -> raise (Ast.Unknown_function program.main)
 
-(* --- scheduler plumbing --- *)
+(* --- scheduler state --- *)
 
-(* What a blocked process is waiting for; [Wake_two] covers sendrecv
-   without an array allocation. *)
+(* What an MPI statement awaits (an isend: the request it posted);
+   [Wake_two] is sendrecv's (send, receive) pair, without an array
+   allocation. *)
 type wake =
   | Wake_none
   | Wake_one of Comm.request
@@ -345,14 +349,28 @@ type wake =
   | Wake_many of Comm.request array
   | Wake_coll of Comm.coll
 
-type _ Effect.t += Block : float Effect.t
-
 (* status codes *)
 let st_not_started = 0
 let st_ready = 1
 let st_running = 2
 let st_blocked = 3
 let st_finished = 4
+
+(* One activation on a rank's interpreter stack: a function body, loop
+   body or branch arm, executing [body] from [pc] in [frame].  A loop
+   body runs again while [iter + 1 < bound], with variable [slot] set to
+   each iteration; a function body restores its caller's context node
+   [ret_node] when it returns ([-1]: not a call, or no tools attached).
+   Records are allocated on first use and reused by later pushes. *)
+type act = {
+  mutable body : cstmt array;
+  mutable pc : int;
+  mutable frame : frame;
+  mutable slot : int;
+  mutable iter : int;
+  mutable bound : int;
+  mutable ret_node : int;
+}
 
 (* Per-process state in struct-of-arrays layout, indexed by rank. *)
 type sched = {
@@ -364,7 +382,6 @@ type sched = {
   nprocs : int;
   net : Network.t;
   clock : float array;
-  blocked_since : float array;
   comp_sec : float array;
   mpi_sec : float array;
   wait_sec : float array;
@@ -375,9 +392,13 @@ type sched = {
   pmu_fp : float array;
   coll_seqs : int array;
   status : int array;
-  conts : (float, unit) Effect.Deep.continuation option array;
+  acts : act array array;  (* interpreter stack per rank... *)
+  depth : int array;  (* ...and its height; 0 once the rank returned *)
+  (* the MPI statement in flight per rank, for its second half: *)
+  enter_time : float array;
+  await_since : float array;  (* clock when it began to await *)
+  wakes : wake array;  (* what it awaits *)
   resume_at : float array;
-  wakes : wake array;
   (* call contexts, maintained only when has_tools; node 0 is [main] *)
   nsid : int;  (* statements in the compiled program, >= 1 *)
   cnode : int array;  (* current context node per rank *)
@@ -389,10 +410,11 @@ type sched = {
   scratch : float array;  (* 5 slots for Costmodel.comp_cost_into *)
   ready : Heap.t;
   mutable events : int;
+  mutable blocks : int;  (* times a rank parked *)
   mutable killed : int list;  (* ranks terminated by an injected fault *)
 }
 
-(* Internal: unwinds a fiber whose rank an armed fault has terminated. *)
+(* Internal: unwinds a rank that an armed fault has terminated. *)
 exception Rank_killed
 
 let make_ready s rank resume =
@@ -400,31 +422,37 @@ let make_ready s rank resume =
   s.resume_at.(rank) <- resume;
   Heap.push s.ready resume rank
 
-(* Called from Comm whenever a request completes: if the owning process
-   is blocked and all of its awaited requests are now complete, wake it
-   at the latest completion (but no earlier than when it blocked). *)
+(* Whether everything [w] awaits has completed. *)
+let satisfied = function
+  | Wake_none -> true
+  | Wake_one r -> r.Comm.completed
+  | Wake_two (r1, r2) -> r1.Comm.completed && r2.Comm.completed
+  | Wake_many rs -> Array.for_all (fun (r : Comm.request) -> r.completed) rs
+  | Wake_coll c -> c.Comm.finished
+
+(* When a rank that began awaiting a satisfied [w] at [since] resumes:
+   the latest completion, but no earlier than [since]; a collective
+   releases everyone at its finish time. *)
+let resume_time since = function
+  | Wake_none -> since
+  | Wake_one r -> Float.max since r.Comm.completion
+  | Wake_two (r1, r2) ->
+      Float.max (Float.max since r1.Comm.completion) r2.Comm.completion
+  | Wake_many rs ->
+      Array.fold_left
+        (fun acc (r : Comm.request) -> Float.max acc r.completion)
+        since rs
+  | Wake_coll c -> c.Comm.finish_time
+
+(* Called from Comm whenever a request completes: wake its parked owner
+   once all of the owner's awaited requests are complete. *)
 let on_request_complete s (req : Comm.request) =
   let rank = req.Comm.waiter in
   if rank >= 0 then begin
     req.Comm.waiter <- -1;
-    if s.status.(rank) = st_blocked then
-      match s.wakes.(rank) with
-      | Wake_one r ->
-          if r.Comm.completed then
-            make_ready s rank (Float.max s.blocked_since.(rank) r.completion)
-      | Wake_two (r1, r2) ->
-          if r1.Comm.completed && r2.Comm.completed then
-            make_ready s rank
-              (Float.max
-                 (Float.max s.blocked_since.(rank) r1.Comm.completion)
-                 r2.Comm.completion)
-      | Wake_many rs ->
-          if Array.for_all (fun (r : Comm.request) -> r.completed) rs then
-            make_ready s rank
-              (Array.fold_left
-                 (fun acc (r : Comm.request) -> Float.max acc r.completion)
-                 s.blocked_since.(rank) rs)
-      | Wake_coll _ | Wake_none -> ()
+    let w = s.wakes.(rank) in
+    if s.status.(rank) = st_blocked && satisfied w then
+      make_ready s rank (resume_time s.await_since.(rank) w)
   end
 
 let wake_collective s (c : Comm.coll) =
@@ -485,47 +513,6 @@ let ctx_of s rank (st : cstmt) =
 
 let tool_sum cfg f = List.fold_left (fun acc tool -> acc +. f tool) 0.0 cfg.tools
 
-(* Wait until [r] has completed, advancing the clock to the completion
-   (each await computes the same fold the reference engine did). *)
-let await_one s rank (r : Comm.request) =
-  let resume =
-    if r.Comm.completed then Float.max s.clock.(rank) r.Comm.completion
-    else begin
-      s.blocked_since.(rank) <- s.clock.(rank);
-      s.wakes.(rank) <- Wake_one r;
-      Effect.perform Block
-    end
-  in
-  s.clock.(rank) <- Float.max s.clock.(rank) resume
-
-let await_two s rank (r1 : Comm.request) (r2 : Comm.request) =
-  let resume =
-    if r1.Comm.completed && r2.Comm.completed then
-      Float.max
-        (Float.max s.clock.(rank) r1.Comm.completion)
-        r2.Comm.completion
-    else begin
-      s.blocked_since.(rank) <- s.clock.(rank);
-      s.wakes.(rank) <- Wake_two (r1, r2);
-      Effect.perform Block
-    end
-  in
-  s.clock.(rank) <- Float.max s.clock.(rank) resume
-
-let await_many s rank (rs : Comm.request array) =
-  let resume =
-    if Array.for_all (fun (r : Comm.request) -> r.completed) rs then
-      Array.fold_left
-        (fun acc (r : Comm.request) -> Float.max acc r.completion)
-        s.clock.(rank) rs
-    else begin
-      s.blocked_since.(rank) <- s.clock.(rank);
-      s.wakes.(rank) <- Wake_many rs;
-      Effect.perform Block
-    end
-  in
-  s.clock.(rank) <- Float.max s.clock.(rank) resume
-
 let dep_of_req s (r : Comm.request) =
   if Comm.has_matched r && r.Comm.req_kind = `Recv then
     let m = r.Comm.matched in
@@ -566,6 +553,61 @@ let new_frame rank (f : cfunc) =
        else Array.make f.cf_nreqs Comm.nil_request);
   }
 
+(* Placeholder for stack slots not yet allocated. *)
+let no_act =
+  let f = { cf_name = ""; cf_nvars = 0; cf_nreqs = 0; cf_body = [||] } in
+  let frame = new_frame 0 f in
+  { body = [||]; pc = 0; frame; slot = 0; iter = 0; bound = 0; ret_node = -1 }
+
+(* Push an activation running [body] in [frame] onto [rank]'s stack. *)
+let push s rank body frame ~slot ~bound ~ret_node =
+  let d = s.depth.(rank) in
+  let acts = s.acts.(rank) in
+  let acts =
+    if d < Array.length acts then acts
+    else begin
+      let grown = grow acts (d + 1) no_act in
+      s.acts.(rank) <- grown;
+      grown
+    end
+  in
+  let a = Array.unsafe_get acts d in
+  if a == no_act then
+    acts.(d) <- { body; pc = 0; frame; slot; iter = 0; bound; ret_node }
+  else begin
+    a.body <- body;
+    a.pc <- 0;
+    a.frame <- frame;
+    a.slot <- slot;
+    a.iter <- 0;
+    a.bound <- bound;
+    a.ret_node <- ret_node
+  end;
+  s.depth.(rank) <- d + 1
+
+(* Enter [f] from the statement [call]: bind the arguments, evaluated in
+   the caller's frame, and move to the call's context node when tools
+   are attached. *)
+let call_function s rank (call : cstmt) (f : cfunc)
+    (args : (int * C.expr) array) (caller : frame) =
+  let callee_frame = new_frame rank f in
+  let nargs = Array.length args in
+  for i = 0 to nargs - 1 do
+    let slot, e = Array.unsafe_get args i in
+    let v = ceval caller.fenv ~loc:call.sloc e in
+    callee_frame.fenv.C.c_vars.(slot) <- v;
+    Bytes.unsafe_set callee_frame.fenv.C.c_bound slot '\001'
+  done;
+  let ret_node =
+    if s.has_tools then begin
+      let parent = s.cnode.(rank) in
+      s.cnode.(rank) <- child_node s parent call;
+      parent
+    end
+    else -1
+  in
+  push s rank f.cf_body callee_frame ~slot:0 ~bound:0 ~ret_node
+
 (* Accumulate one computation interval into the per-rank SoA state.
    Field-by-field addition in [Pmu.t] order — identical float sums to
    the reference engine's [Pmu.add]. *)
@@ -578,12 +620,212 @@ let accum_comp s rank seconds =
   s.pmu_miss.(rank) <- s.pmu_miss.(rank) +. s.scratch.(3);
   s.pmu_fp.(rank) <- s.pmu_fp.(rank) +. s.scratch.(4)
 
-let rec exec_block s rank frame (body : cstmt array) =
-  for i = 0 to Array.length body - 1 do
-    exec_stmt s rank frame (Array.unsafe_get body i)
-  done
+(* --- MPI statements ---
 
-and exec_stmt s rank frame (st : cstmt) =
+   An MPI statement runs in two halves.  [exec_mpi] issues it: evaluates
+   its arguments, posts to [Comm] and records what it awaits.  [finish_mpi]
+   runs once the clock stands at the resume time: wait and MPI seconds,
+   then the tool hooks.  When the awaited requests or collective are
+   already complete the two run back to back; otherwise the rank parks
+   and the scheduler runs [finish_mpi] when it wakes.  The clock and wait
+   arithmetic is the same with or without tools; what only a hook
+   consumes (context records, dependence edges, posted sends, collective
+   info) is built behind [s.has_tools], so bare runs allocate none of
+   it.  [cnode] stays at the root on bare runs, so posted messages carry
+   a root-context site there. *)
+
+let finish_mpi s rank (st : cstmt) (w : wake) =
+  match st.snode with
+  | KMpi { ast; op } ->
+      let tools = s.has_tools in
+      let enter_time = s.enter_time.(rank) in
+      let exit_time = s.clock.(rank) in
+      let wait =
+        match (op, w) with
+        | (KIsend _ | KIrecv _), _ -> 0.0
+        | _, Wake_coll c ->
+            Float.max 0.0 (c.Comm.start_time -. s.await_since.(rank))
+        | _ -> exit_time -. s.await_since.(rank)
+      in
+      s.mpi_sec.(rank) <- s.mpi_sec.(rank) +. (exit_time -. enter_time);
+      s.wait_sec.(rank) <- s.wait_sec.(rank) +. wait;
+      if tools then begin
+        let node = s.cnode.(rank) in
+        let site = (node * s.nsid) + st.sid in
+        (* a send request's message is the one it posted; a sendrecv's
+           first request is its send, which carries no dependence *)
+        let sends =
+          match (op, w) with
+          | (KSend _ | KIsend _), Wake_one r | KSendrecv _, Wake_two (r, _) ->
+              let m = r.Comm.matched in
+              [ (m.Comm.msg_dst, m.msg_tag, m.msg_bytes) ]
+          | _ -> []
+        in
+        let deps, collective =
+          match w with
+          | Wake_none -> ([], None)
+          | Wake_one r | Wake_two (_, r) -> (dep_of_req s r, None)
+          | Wake_many rs ->
+              (List.concat_map (dep_of_req s) (Array.to_list rs), None)
+          | Wake_coll c ->
+              ( [],
+                Some
+                  {
+                    Instrument.coll_seq = c.Comm.coll_seq;
+                    arrive_time = s.await_since.(rank);
+                    start_time = c.Comm.start_time;
+                    last_arrival_rank = c.Comm.last_arrival_rank;
+                  } )
+        in
+        let callpath = s.node_paths.(node) in
+        let ctx_span =
+          { Instrument.rank; time = enter_time; loc = st.sloc; callpath; site }
+        in
+        let span_overhead =
+          tool_sum s.cfg (fun tool ->
+              tool.Instrument.on_interval ctx_span ~stop:exit_time
+                (Instrument.Mpi_span { call = ast; wait_seconds = wait }))
+        in
+        let exit_info =
+          {
+            Instrument.call = ast;
+            enter_time;
+            exit_time;
+            wait_seconds = wait;
+            deps;
+            sends;
+            collective;
+          }
+        in
+        let ctx_exit = { ctx_span with time = exit_time } in
+        let overhead_out =
+          tool_sum s.cfg (fun tool ->
+              tool.Instrument.on_mpi_exit ctx_exit exit_info)
+        in
+        s.clock.(rank) <- s.clock.(rank) +. span_overhead +. overhead_out
+      end
+  | _ -> assert false
+
+(* Park [rank] until [w] is satisfied.  Only the still-pending requests
+   register the rank as their waiter. *)
+let park s rank (w : wake) =
+  s.status.(rank) <- st_blocked;
+  s.wakes.(rank) <- w;
+  s.blocks <- s.blocks + 1;
+  match w with
+  | Wake_one r -> if not r.Comm.completed then r.Comm.waiter <- rank
+  | Wake_two (r1, r2) ->
+      if not r1.Comm.completed then r1.Comm.waiter <- rank;
+      if not r2.Comm.completed then r2.Comm.waiter <- rank
+  | Wake_many rs ->
+      Array.iter
+        (fun (r : Comm.request) -> if not r.completed then r.waiter <- rank)
+        rs
+  | Wake_coll c -> c.Comm.waiters <- rank :: c.Comm.waiters
+  | Wake_none -> assert false
+
+(* Await [w] for the MPI statement [st]: finish it now when [w] is
+   already satisfied, else park.  Returns whether the rank runs on. *)
+let await s rank (st : cstmt) (w : wake) =
+  let t0 = s.clock.(rank) in
+  s.await_since.(rank) <- t0;
+  let ready = satisfied w in
+  if ready then begin
+    s.clock.(rank) <- Float.max t0 (resume_time t0 w);
+    finish_mpi s rank st w
+  end
+  else park s rank w;
+  ready
+
+(* Issue the MPI statement [st]; false when the rank parked. *)
+let exec_mpi s rank frame (st : cstmt) (ast : Ast.mpi_call) (op : cmpi) =
+  let loc = st.sloc in
+  s.enter_time.(rank) <- s.clock.(rank);
+  let site = (s.cnode.(rank) * s.nsid) + st.sid in
+  let env = frame.fenv in
+  match op with
+  | KSend { dest; tag; bytes } ->
+      let dst = ceval env ~loc dest in
+      let tag = ceval env ~loc tag in
+      let bytes = ceval env ~loc bytes in
+      let sreq =
+        Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~time:s.clock.(rank) ~loc
+          ~site
+      in
+      s.clock.(rank) <- s.clock.(rank) +. s.net.Network.send_overhead;
+      await s rank st (Wake_one sreq)
+  | KRecv { src; tag; bytes } ->
+      let src = eval_peer env ~loc src in
+      let tag = eval_tag env ~loc tag in
+      let bytes = ceval env ~loc bytes in
+      let req =
+        Comm.post_recv s.comm ~rank ~src ~tag ~bytes ~time:s.clock.(rank) ~loc
+      in
+      s.clock.(rank) <- s.clock.(rank) +. s.net.Network.recv_overhead;
+      await s rank st (Wake_one req)
+  | KIsend { dest; tag; bytes; slot } ->
+      let dst = ceval env ~loc dest in
+      let tag = ceval env ~loc tag in
+      let bytes = ceval env ~loc bytes in
+      let sreq =
+        Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~time:s.clock.(rank) ~loc
+          ~site
+      in
+      s.clock.(rank) <- s.clock.(rank) +. s.net.Network.send_overhead;
+      frame.freqs.(slot) <- sreq;
+      finish_mpi s rank st (Wake_one sreq);
+      true
+  | KIrecv { src; tag; bytes; slot } ->
+      let src = eval_peer env ~loc src in
+      let tag = eval_tag env ~loc tag in
+      let bytes = ceval env ~loc bytes in
+      let rreq =
+        Comm.post_recv s.comm ~rank ~src ~tag ~bytes ~time:s.clock.(rank) ~loc
+      in
+      s.clock.(rank) <- s.clock.(rank) +. s.net.Network.recv_overhead;
+      frame.freqs.(slot) <- rreq;
+      finish_mpi s rank st Wake_none;
+      true
+  | KWait { slot; name } ->
+      await s rank st (Wake_one (get_req frame ~loc slot name))
+  | KWaitall { slots } ->
+      let rs =
+        Array.map (fun (slot, name) -> get_req frame ~loc slot name) slots
+      in
+      await s rank st (Wake_many rs)
+  | KSendrecv { dest; stag; sbytes; src; rtag; rbytes } ->
+      let dst = ceval env ~loc dest in
+      let stag = ceval env ~loc stag in
+      let sbytes = ceval env ~loc sbytes in
+      let src = eval_peer env ~loc src in
+      let rtag = eval_tag env ~loc rtag in
+      let rbytes = ceval env ~loc rbytes in
+      let sreq =
+        Comm.send s.comm ~src:rank ~dst ~tag:stag ~bytes:sbytes
+          ~time:s.clock.(rank) ~loc ~site
+      in
+      let rreq =
+        Comm.post_recv s.comm ~rank ~src ~tag:rtag ~bytes:rbytes
+          ~time:s.clock.(rank) ~loc
+      in
+      s.clock.(rank) <-
+        s.clock.(rank) +. s.net.Network.send_overhead
+        +. s.net.Network.recv_overhead;
+      await s rank st (Wake_two (sreq, rreq))
+  | KColl { bytes } ->
+      let bytes = ceval env ~loc bytes in
+      s.coll_seqs.(rank) <- s.coll_seqs.(rank) + 1;
+      let c =
+        Comm.coll_arrive s.comm ~seq:s.coll_seqs.(rank) ~rank
+          ~time:s.clock.(rank) ~kind:ast ~bytes
+      in
+      if c.Comm.finished then wake_collective s c;
+      await s rank st (Wake_coll c)
+
+(* Execute one statement of [rank]; false when it parked.  Blocks and
+   calls push an activation rather than recursing, so a parked rank's
+   whole control state is its stack. *)
+let exec_stmt s rank frame (st : cstmt) =
   let loc = st.sloc in
   s.events <- s.events + 1;
   if s.events > s.cfg.max_events then
@@ -593,7 +835,8 @@ and exec_stmt s rank frame (st : cstmt) =
   | KLet { slot; value } ->
       let v = ceval frame.fenv ~loc value in
       frame.fenv.C.c_vars.(slot) <- v;
-      Bytes.unsafe_set frame.fenv.C.c_bound slot '\001'
+      Bytes.unsafe_set frame.fenv.C.c_bound slot '\001';
+      true
   | KComp { flops; mem; ints; locality; label } ->
       (* workload counts evaluate inside the cost model in the reference
          engine, so an Eval_error escapes unwrapped here too *)
@@ -629,21 +872,24 @@ and exec_stmt s rank frame (st : cstmt) =
         in
         s.clock.(rank) <- s.clock.(rank) +. overhead
       end
-      else accum_comp s rank seconds
+      else accum_comp s rank seconds;
+      true
   | KLoop { slot; count; body } ->
       let n = ceval frame.fenv ~loc count in
       if n > 0 then begin
-        let vars = frame.fenv.C.c_vars in
         Bytes.unsafe_set frame.fenv.C.c_bound slot '\001';
-        for i = 0 to n - 1 do
-          Array.unsafe_set vars slot i;
-          exec_block s rank frame body
-        done
-      end
+        Array.unsafe_set frame.fenv.C.c_vars slot 0;
+        push s rank body frame ~slot ~bound:n ~ret_node:(-1)
+      end;
+      true
   | KBranch { cond; then_; else_ } ->
-      if ceval frame.fenv ~loc cond <> 0 then exec_block s rank frame then_
-      else exec_block s rank frame else_
-  | KCall { callee; args } -> call_function s rank st callee args frame
+      let arm = if ceval frame.fenv ~loc cond <> 0 then then_ else else_ in
+      if Array.length arm > 0 then
+        push s rank arm frame ~slot:0 ~bound:0 ~ret_node:(-1);
+      true
+  | KCall { callee; args } ->
+      call_function s rank st callee args frame;
+      true
   | KCall_undef name ->
       runtime_error ~loc "call to undefined function %S" name
   | KIcall { selector; targets } ->
@@ -662,249 +908,68 @@ and exec_stmt s rank frame (st : cstmt) =
       (match tf with
       | None ->
           runtime_error ~loc "indirect call to undefined function %S" target
-      | Some f -> call_function s rank st f [||] frame)
-  | KMpi { ast; op } ->
-      exec_mpi s rank frame ~loc ~sid:st.sid ast op
+      | Some f -> call_function s rank st f [||] frame);
+      true
+  | KMpi { ast; op } -> exec_mpi s rank frame st ast op
 
-and call_function s rank (call : cstmt) (f : cfunc)
-    (args : (int * C.expr) array) (caller : frame) =
-  let callee_frame = new_frame rank f in
-  let nargs = Array.length args in
-  for i = 0 to nargs - 1 do
-    let slot, e = Array.unsafe_get args i in
-    let v = ceval caller.fenv ~loc:call.sloc e in
-    callee_frame.fenv.C.c_vars.(slot) <- v;
-    Bytes.unsafe_set callee_frame.fenv.C.c_bound slot '\001'
-  done;
-  if s.has_tools then begin
-    let parent = s.cnode.(rank) in
-    s.cnode.(rank) <- child_node s parent call;
-    exec_block s rank callee_frame f.cf_body;
-    s.cnode.(rank) <- parent
-  end
-  else exec_block s rank callee_frame f.cf_body
+(* --- the scheduler loop --- *)
 
-(* MPI execution.  The clock and wait arithmetic is the same with or
-   without tools; what only a hook consumes (context records, dependence
-   edges, posted sends, collective info) is built behind [s.has_tools],
-   so bare runs allocate none of it.  [cnode] stays at the root on bare
-   runs, so posted messages carry a root-context site there. *)
-and exec_mpi s rank frame ~loc ~sid (ast : Ast.mpi_call) (op : cmpi) =
-  let tools = s.has_tools in
-  let enter_time = s.clock.(rank) in
-  let node = s.cnode.(rank) in
-  let site = (node * s.nsid) + sid in
-  let env = frame.fenv in
-  let deps = ref [] and sends = ref [] and collective = ref None in
-  let wait = ref 0.0 in
-  (match op with
-  | KSend { dest; tag; bytes } ->
-      let dst = ceval env ~loc dest in
-      let tag = ceval env ~loc tag in
-      let bytes = ceval env ~loc bytes in
-      let sreq =
-        Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~site
-      in
-      s.clock.(rank) <- s.clock.(rank) +. s.net.Network.send_overhead;
-      let t0 = s.clock.(rank) in
-      await_one s rank sreq;
-      wait := s.clock.(rank) -. t0;
-      if tools then sends := [ (dst, tag, bytes) ]
-  | KRecv { src; tag; bytes } ->
-      let src = eval_peer env ~loc src in
-      let tag = eval_tag env ~loc tag in
-      let bytes = ceval env ~loc bytes in
-      let req =
-        Comm.post_recv s.comm ~rank ~src ~tag ~bytes ~time:s.clock.(rank) ~loc
-      in
-      s.clock.(rank) <- s.clock.(rank) +. s.net.Network.recv_overhead;
-      let t0 = s.clock.(rank) in
-      await_one s rank req;
-      wait := s.clock.(rank) -. t0;
-      if tools then deps := dep_of_req s req
-  | KIsend { dest; tag; bytes; slot } ->
-      let dst = ceval env ~loc dest in
-      let tag = ceval env ~loc tag in
-      let bytes = ceval env ~loc bytes in
-      let sreq =
-        Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~site
-      in
-      s.clock.(rank) <- s.clock.(rank) +. s.net.Network.send_overhead;
-      frame.freqs.(slot) <- sreq;
-      if tools then sends := [ (dst, tag, bytes) ]
-  | KIrecv { src; tag; bytes; slot } ->
-      let src = eval_peer env ~loc src in
-      let tag = eval_tag env ~loc tag in
-      let bytes = ceval env ~loc bytes in
-      let rreq =
-        Comm.post_recv s.comm ~rank ~src ~tag ~bytes ~time:s.clock.(rank) ~loc
-      in
-      s.clock.(rank) <- s.clock.(rank) +. s.net.Network.recv_overhead;
-      frame.freqs.(slot) <- rreq
-  | KWait { slot; name } ->
-      let r = get_req frame ~loc slot name in
-      let t0 = s.clock.(rank) in
-      await_one s rank r;
-      wait := s.clock.(rank) -. t0;
-      if tools then deps := dep_of_req s r
-  | KWaitall { slots } ->
-      let rs =
-        Array.map (fun (slot, name) -> get_req frame ~loc slot name) slots
-      in
-      let t0 = s.clock.(rank) in
-      await_many s rank rs;
-      wait := s.clock.(rank) -. t0;
-      if tools then deps := List.concat_map (dep_of_req s) (Array.to_list rs)
-  | KSendrecv { dest; stag; sbytes; src; rtag; rbytes } ->
-      let dst = ceval env ~loc dest in
-      let stag = ceval env ~loc stag in
-      let sbytes = ceval env ~loc sbytes in
-      let src = eval_peer env ~loc src in
-      let rtag = eval_tag env ~loc rtag in
-      let rbytes = ceval env ~loc rbytes in
-      let sreq =
-        Comm.send s.comm ~src:rank ~dst ~tag:stag ~bytes:sbytes
-          ~time:s.clock.(rank) ~loc ~site
-      in
-      let rreq =
-        Comm.post_recv s.comm ~rank ~src ~tag:rtag ~bytes:rbytes
-          ~time:s.clock.(rank) ~loc
-      in
-      s.clock.(rank) <-
-        s.clock.(rank) +. s.net.Network.send_overhead
-        +. s.net.Network.recv_overhead;
-      let t0 = s.clock.(rank) in
-      await_two s rank sreq rreq;
-      wait := s.clock.(rank) -. t0;
-      if tools then begin
-        sends := [ (dst, stag, sbytes) ];
-        deps := dep_of_req s rreq
+(* Run [rank] until it parks or returns from [main].  A finished body
+   pops its activation (restoring the caller's context node), unless it
+   is a loop body with iterations left. *)
+let rec step s rank =
+  let d = s.depth.(rank) in
+  if d = 0 then s.status.(rank) <- st_finished
+  else begin
+    let a = Array.unsafe_get s.acts.(rank) (d - 1) in
+    let pc = a.pc in
+    if pc < Array.length a.body then begin
+      a.pc <- pc + 1;
+      if exec_stmt s rank a.frame (Array.unsafe_get a.body pc) then
+        step s rank
+    end
+    else begin
+      let it = a.iter + 1 in
+      if it < a.bound then begin
+        a.iter <- it;
+        Array.unsafe_set a.frame.fenv.C.c_vars a.slot it;
+        a.pc <- 0
       end
-  | KColl { bytes } ->
-      let bytes = ceval env ~loc bytes in
-      s.coll_seqs.(rank) <- s.coll_seqs.(rank) + 1;
-      let arrive_time = s.clock.(rank) in
-      let c =
-        Comm.coll_arrive s.comm ~seq:s.coll_seqs.(rank) ~rank ~time:arrive_time
-          ~kind:ast ~bytes
-      in
-      if c.Comm.finished then wake_collective s c;
-      let resume =
-        if c.Comm.finished then c.Comm.finish_time
-        else begin
-          s.blocked_since.(rank) <- arrive_time;
-          s.wakes.(rank) <- Wake_coll c;
-          Effect.perform Block
-        end
-      in
-      s.clock.(rank) <- Float.max s.clock.(rank) resume;
-      wait := Float.max 0.0 (c.Comm.start_time -. arrive_time);
-      if tools then
-        collective :=
-          Some
-            {
-              Instrument.coll_seq = c.Comm.coll_seq;
-              arrive_time;
-              start_time = c.Comm.start_time;
-              last_arrival_rank = c.Comm.last_arrival_rank;
-            });
-  let exit_time = s.clock.(rank) in
-  (* read out of the ref before any hook closure: a ref a closure
-     captures stays boxed, on bare runs too *)
-  let wait = !wait in
-  s.mpi_sec.(rank) <- s.mpi_sec.(rank) +. (exit_time -. enter_time);
-  s.wait_sec.(rank) <- s.wait_sec.(rank) +. wait;
-  if tools then begin
-    let callpath = s.node_paths.(node) in
-    let ctx_span = { Instrument.rank; time = enter_time; loc; callpath; site } in
-    let span_overhead =
-      tool_sum s.cfg (fun tool ->
-          tool.Instrument.on_interval ctx_span ~stop:exit_time
-            (Instrument.Mpi_span { call = ast; wait_seconds = wait }))
-    in
-    let exit_info =
-      {
-        Instrument.call = ast;
-        enter_time;
-        exit_time;
-        wait_seconds = wait;
-        deps = !deps;
-        sends = !sends;
-        collective = !collective;
-      }
-    in
-    let ctx_exit = { ctx_span with time = exit_time } in
-    let overhead_out =
-      tool_sum s.cfg (fun tool ->
-          tool.Instrument.on_mpi_exit ctx_exit exit_info)
-    in
-    s.clock.(rank) <- s.clock.(rank) +. span_overhead +. overhead_out
+      else begin
+        if a.ret_node >= 0 then s.cnode.(rank) <- a.ret_node;
+        s.depth.(rank) <- d - 1
+      end;
+      step s rank
+    end
   end
 
-(* --- fibers and the scheduler loop --- *)
-
-let handler s rank =
-  {
-    Effect.Deep.retc = (fun () -> s.status.(rank) <- st_finished);
-    exnc =
-      (function
-      (* a killed rank stops cleanly: whatever it measured so far stays,
-         peers waiting on it are stranded and handled at end of run *)
-      | Rank_killed ->
-          s.status.(rank) <- st_finished;
-          s.killed <- rank :: s.killed
-      | e -> raise e);
-    effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Block ->
-            Some
-              (fun (k : (a, _) Effect.Deep.continuation) ->
-                s.status.(rank) <- st_blocked;
-                s.conts.(rank) <- Some k;
-                (* registration only: the awaited condition cannot have
-                   completed between the check in await_* and here —
-                   execution is single-threaded and nothing ran in
-                   between *)
-                match s.wakes.(rank) with
-                | Wake_one r ->
-                    if not r.Comm.completed then r.Comm.waiter <- rank
-                | Wake_two (r1, r2) ->
-                    if not r1.Comm.completed then r1.Comm.waiter <- rank;
-                    if not r2.Comm.completed then r2.Comm.waiter <- rank
-                | Wake_many rs ->
-                    Array.iter
-                      (fun (r : Comm.request) ->
-                        if not r.completed then r.waiter <- rank)
-                      rs
-                | Wake_coll c -> c.Comm.waiters <- rank :: c.Comm.waiters
-                | Wake_none -> assert false)
-        | _ -> None);
-  }
-
-let start_fiber s rank =
+(* Give the processor to [rank]: start it, or finish the MPI statement
+   it parked in (the one just behind its top activation's [pc]) at its
+   resume time, then run it on.  A killed rank stops cleanly: whatever
+   it measured so far stays, and peers waiting on it are stranded and
+   handled at end of run. *)
+let dispatch s rank ~resumed =
   s.status.(rank) <- st_running;
-  Effect.Deep.match_with
-    (fun () ->
-      let f = s.cmain in
-      exec_block s rank (new_frame rank f) f.cf_body)
-    () (handler s rank)
+  try
+    if resumed then begin
+      let a = s.acts.(rank).(s.depth.(rank) - 1) in
+      s.clock.(rank) <- Float.max s.clock.(rank) s.resume_at.(rank);
+      finish_mpi s rank a.body.(a.pc - 1) s.wakes.(rank)
+    end
+    else
+      push s rank s.cmain.cf_body (new_frame rank s.cmain) ~slot:0 ~bound:0
+        ~ret_node:(-1);
+    step s rank
+  with Rank_killed ->
+    s.status.(rank) <- st_finished;
+    s.killed <- rank :: s.killed
 
 let rec drive s =
   let rank = Heap.pop_val s.ready in
   if rank >= 0 then begin
     let st = s.status.(rank) in
-    if st = st_not_started then start_fiber s rank
-    else if st = st_ready then begin
-      s.status.(rank) <- st_running;
-      match s.conts.(rank) with
-      | Some k ->
-          s.conts.(rank) <- None;
-          Effect.Deep.continue k s.resume_at.(rank)
-      | None -> assert false
-    end;
+    if st = st_not_started || st = st_ready then
+      dispatch s rank ~resumed:(st = st_ready);
     drive s
   end
 
@@ -927,7 +992,6 @@ let run_body ~cfg (program : Ast.program) =
       nprocs = n;
       net = cfg.net;
       clock = Array.make n cfg.clock0;
-      blocked_since = Array.make n cfg.clock0;
       comp_sec = Array.make n 0.0;
       mpi_sec = Array.make n 0.0;
       wait_sec = Array.make n 0.0;
@@ -938,9 +1002,12 @@ let run_body ~cfg (program : Ast.program) =
       pmu_fp = Array.make n 0.0;
       coll_seqs = Array.make n 0;
       status = Array.make n st_not_started;
-      conts = Array.make n None;
-      resume_at = Array.make n 0.0;
+      acts = Array.make n [||];
+      depth = Array.make n 0;
+      enter_time = Array.make n 0.0;
+      await_since = Array.make n cfg.clock0;
       wakes = Array.make n Wake_none;
+      resume_at = Array.make n 0.0;
       nsid = max 1 nsid;
       cnode = Array.make n 0;
       node_paths = [| [] |];
@@ -955,6 +1022,7 @@ let run_body ~cfg (program : Ast.program) =
       scratch = Array.make 5 0.0;
       ready = Heap.create ~capacity:(max 16 n) ();
       events = 0;
+      blocks = 0;
       killed = [];
     }
   in
@@ -981,26 +1049,29 @@ let run_body ~cfg (program : Ast.program) =
   List.iter
     (fun tool -> tool.Instrument.on_run_end ~nprocs:cfg.nprocs ~elapsed)
     cfg.tools;
-  {
-    elapsed;
-    rank_finish = s.clock;
-    comp_seconds = s.comp_sec;
-    mpi_seconds = s.mpi_sec;
-    wait_seconds = s.wait_sec;
-    comp_pmu =
-      Array.init n (fun rank ->
-          {
-            Pmu.tot_ins = s.pmu_tot_ins.(rank);
-            tot_lst_ins = s.pmu_tot_lst.(rank);
-            tot_cyc = s.pmu_tot_cyc.(rank);
-            cache_miss = s.pmu_miss.(rank);
-            fp_ins = s.pmu_fp.(rank);
-          });
-    events = s.events;
-    messages = comm.Comm.messages_sent;
-    killed_ranks;
-    stranded_ranks = stuck;
-  }
+  let r =
+    {
+      elapsed;
+      rank_finish = s.clock;
+      comp_seconds = s.comp_sec;
+      mpi_seconds = s.mpi_sec;
+      wait_seconds = s.wait_sec;
+      comp_pmu =
+        Array.init n (fun rank ->
+            {
+              Pmu.tot_ins = s.pmu_tot_ins.(rank);
+              tot_lst_ins = s.pmu_tot_lst.(rank);
+              tot_cyc = s.pmu_tot_cyc.(rank);
+              cache_miss = s.pmu_miss.(rank);
+              fp_ins = s.pmu_fp.(rank);
+            });
+      events = s.events;
+      messages = comm.Comm.messages_sent;
+      killed_ranks;
+      stranded_ranks = stuck;
+    }
+  in
+  (r, s.blocks)
 
 (* The observable boundary of one simulated run: the span's duration is
    the wall-clock cost of simulating, while [sim_elapsed] is the
@@ -1008,17 +1079,18 @@ let run_body ~cfg (program : Ast.program) =
    overhead argument compares. *)
 let run ?(cfg = config ~nprocs:4 ()) (program : Ast.program) =
   let module Obs = Scalana_obs.Obs in
-  if not (Obs.enabled ()) then run_body ~cfg program
+  if not (Obs.enabled ()) then fst (run_body ~cfg program)
   else begin
     let sp =
       Obs.start ~args:[ ("nprocs", string_of_int cfg.nprocs) ] "exec.run"
     in
     let t0 = Obs.now () in
     match run_body ~cfg program with
-    | r ->
+    | r, blocks ->
         Obs.Metrics.observe "exec.wall_seconds" (Obs.now () -. t0);
         Obs.Metrics.observe "exec.sim_elapsed" r.elapsed;
         Obs.Metrics.incr ~by:r.events "exec.events";
+        Obs.Metrics.incr ~by:blocks "exec.blocks";
         Obs.Metrics.incr ~by:r.messages "exec.messages";
         Obs.finish
           ~args:

@@ -1,7 +1,9 @@
 (** Discrete-event MPI runtime: interprets a MiniMPI program on [nprocs]
-    simulated processes, each an effect-based fiber with its own clock,
-    scheduled lowest-clock-first. Instrumentation tools observe compute
-    intervals and MPI events and charge their overhead onto the clocks. *)
+    simulated processes, each with its own clock and interpreter stack,
+    scheduled lowest-clock-first; a blocked process parks until its
+    awaited requests or collective complete.  Instrumentation tools
+    observe compute intervals and MPI events and charge their overhead
+    onto the clocks. *)
 
 open Scalana_mlang
 

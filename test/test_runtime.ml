@@ -741,6 +741,226 @@ let test_engine_reference_digests () =
         [ ("", []); (" nil-tool", [ Instrument.nil "nil" ]) ])
     reference_digests
 
+(* --- resume paths ---
+
+   A blocked rank parks mid-statement and later resumes where it left
+   off: inside loops, branches and call chains, with its call context
+   restored on the way out.  These digests were captured from the
+   engine before the scheduler moved to explicit per-rank stacks; they
+   pin the resume path at the scale where most ranks are parked at once
+   (cg-weak, np=1024) and on a fixture nesting every kind of frame. *)
+
+let cg_weak_1024_digest = "d5bd5c16ff808f4e9f7f0b6eb5e5d0c2"
+let nested_resume_digests =
+  ("4a0fd564ad1964041bcecb7ad9311c22", "1f3636f6c02579167c442e0189e8adb0")
+
+(* Every hook event as plain data: what a tool sees of the call context
+   at each point, in dispatch order. *)
+let recording_tool () =
+  let log = ref [] in
+  let record (c : Instrument.ctx) tag stop =
+    log := (c.rank, c.callpath, c.loc, c.time, stop, tag) :: !log
+  in
+  let tool =
+    {
+      (Instrument.nil "recorder") with
+      on_interval =
+        (fun c ~stop a ->
+          (match a with
+          | Instrument.Compute _ -> record c "comp" stop
+          | Instrument.Mpi_span { wait_seconds; _ } ->
+              record c "span" wait_seconds);
+          0.0);
+      on_mpi_exit =
+        (fun c e ->
+          record c "exit" e.Instrument.exit_time;
+          List.iter
+            (fun (d : Instrument.peer_dep) ->
+              record c "dep" d.arrival_time;
+              log :=
+                (d.peer_rank, d.peer_callpath, d.peer_loc, d.send_time, 0.0,
+                 "peer")
+                :: !log)
+            e.deps;
+          0.0);
+      on_icall =
+        (fun c ~target ->
+          record c target 0.0;
+          0.0);
+    }
+  in
+  (tool, fun () -> List.rev !log)
+
+(* MPI inside a branch inside a loop inside a two-level call chain, an
+   indirect call whose targets hold a collective, nonblocking pairs
+   collected by one waitall, and a wildcard receive. *)
+let nested_resume_program () =
+  let open Expr.Infix in
+  let b = Builder.create ~file:"nest.mmp" ~name:"nest" () in
+  let right = (rank + i 1) % np and left = (rank - i 1 + np) % np in
+  Builder.func b "inner" ~params:[ "k" ] (fun () ->
+      [
+        Builder.loop b ~var:"j" ~count:(i 3) (fun () ->
+            [
+              Builder.branch b
+                ~cond:((v "j" + v "k") % i 2 = i 0)
+                ~else_:(fun () ->
+                  [
+                    Builder.send b ~dest:right ~tag:(i 100) ~bytes:(i 64) ();
+                    Builder.comp b
+                      ~flops:((rank + i 1) * i 20_000)
+                      ~mem:(i 1_000) ();
+                    Builder.recv b ~bytes:(i 64) ();
+                  ])
+                (fun () ->
+                  [
+                    Builder.irecv b ~src:left ~tag:(v "j") ~bytes:(i 512)
+                      ~req:"r" ();
+                    Builder.comp b
+                      ~flops:((rank + i 1) * i 30_000)
+                      ~mem:(i 2_000) ();
+                    Builder.isend b ~dest:right ~tag:(v "j") ~bytes:(i 512)
+                      ~req:"s" ();
+                    Builder.waitall b ~reqs:[ "s"; "r" ];
+                  ]);
+            ]);
+      ]);
+  Builder.func b "ia" (fun () ->
+      [ Builder.comp b ~flops:(i 10_000) ~mem:(i 100) (); Builder.barrier b ]);
+  Builder.func b "ib" (fun () ->
+      [ Builder.comp b ~flops:(i 90_000) ~mem:(i 100) (); Builder.barrier b ]);
+  Builder.func b "outer" (fun () ->
+      [
+        Builder.loop b ~var:"k" ~count:(i 2) (fun () ->
+            [
+              Builder.call b "inner" ~args:[ ("k", v "k") ];
+              Builder.icall b ~selector:(rank + v "k") [ "ia"; "ib" ];
+              Builder.comp b ~flops:(i 5_000) ~mem:(i 100) ();
+            ]);
+      ]);
+  Builder.func b "main" (fun () ->
+      [ Builder.call b "outer"; Builder.allreduce b ~bytes:(i 8) ]);
+  Builder.program b
+
+let test_resume_cg_weak_1024 () =
+  let e = Scalana_apps.Registry.find "cg-weak" in
+  List.iter
+    (fun (label, tools) ->
+      let cfg = Exec.config ~nprocs:1024 ~cost:e.cost ~tools () in
+      check_string
+        (Printf.sprintf "cg-weak np=1024%s" label)
+        cg_weak_1024_digest
+        (digest_result (Exec.run ~cfg (e.make ()))))
+    [ ("", []); (" nil-tool", [ Instrument.nil "nil" ]) ]
+
+(* The bare digest pins the result; the traced one also pins every
+   hook's context, so a callee frame that fails to restore its caller's
+   context on return, or resumes in the wrong one, changes it. *)
+let test_resume_nested () =
+  let bare_d, traced_d = nested_resume_digests in
+  let prog = nested_resume_program () in
+  let bare = run ~nprocs:6 prog in
+  check_string "bare" bare_d (digest_result bare);
+  let tool, trace = recording_tool () in
+  let traced = run ~nprocs:6 ~tools:[ tool ] prog in
+  check_string "tool-free result unchanged by the tool" (digest_result bare)
+    (digest_result traced);
+  let log = trace () in
+  check_bool "events seen two calls deep" true
+    (List.exists (fun (_, cp, _, _, _, _) -> List.length cp = 2) log);
+  check_bool "receive dependences seen" true
+    (List.exists (fun (_, _, _, _, _, tag) -> tag = "dep") log);
+  check_string "traced" traced_d
+    (Digest.to_hex (Digest.string (Marshal.to_string log [])))
+
+(* An error raised by the first statement a blocked rank executes after
+   it resumes surfaces from [run] with that statement's location. *)
+let test_resume_error_loc () =
+  let prog =
+    let open Expr.Infix in
+    two_rank_program (fun b ->
+        [
+          Builder.branch b
+            ~cond:(rank = i 0)
+            ~else_:(fun () ->
+              [
+                Builder.recv b ~src:(i 0) ~tag:(i 1) ~bytes:(i 8) ();
+                Builder.let_ b "x" (i 100 / (rank - i 1));
+              ])
+            (fun () ->
+              [
+                Builder.comp b ~flops:(i 50_000_000) ~mem:(i 1_000) ();
+                Builder.send b ~dest:(i 1) ~tag:(i 1) ~bytes:(i 8) ();
+              ]);
+        ])
+  in
+  let let_loc = ref Loc.none in
+  List.iter
+    (fun (f : Ast.func) ->
+      Ast.iter_stmts
+        (fun st ->
+          match st.Ast.node with Ast.Let _ -> let_loc := st.loc | _ -> ())
+        f.fbody)
+    prog.Ast.funcs;
+  match run ~nprocs:2 prog with
+  | _ -> Alcotest.fail "expected a runtime error"
+  | exception Exec.Runtime_error { loc; msg } ->
+      check_string "message" "division by zero" msg;
+      check_string "loc of the statement after the recv"
+        (Loc.to_string !let_loc) (Loc.to_string loc)
+
+(* Ten thousand nested calls deep, then a blocking exchange: a parked
+   rank's activation stack is data, so depth costs memory, not stack. *)
+let test_resume_deep_recursion () =
+  let depth = 10_000 in
+  let prog =
+    let open Expr.Infix in
+    let b = Builder.create ~file:"deep.mmp" ~name:"deep" () in
+    Builder.param b "depth" depth;
+    Builder.func b "dive" ~params:[ "d" ] (fun () ->
+        [
+          Builder.branch b
+            ~cond:(v "d" > i 0)
+            ~else_:(fun () ->
+              [
+                Builder.comp b ~flops:((rank + i 1) * i 1_000) ~mem:(i 10) ();
+                Builder.sendrecv b ~dest:((rank + i 1) % np) ~sbytes:(i 64)
+                  ~src:((rank - i 1 + np) % np)
+                  ~rbytes:(i 64) ();
+              ])
+            (fun () -> [ Builder.call b "dive" ~args:[ ("d", v "d" - i 1) ] ]);
+        ]);
+    Builder.func b "main" (fun () ->
+        [ Builder.call b "dive" ~args:[ ("d", p "depth") ] ]);
+    Builder.program b
+  in
+  let r = run ~nprocs:4 prog in
+  check_int "one message per rank" 4 r.Exec.messages;
+  (* per rank: depth+1 calls and branches, one comp, one sendrecv *)
+  check_int "events" (4 * ((2 * depth) + 4)) r.Exec.events;
+  check_bool "rank 0 waited for its slower left neighbour" true
+    (r.Exec.wait_seconds.(0) > 0.0)
+
+(* Ranks reaching a barrier at staggered times: all but the last park,
+   and [run] counts each park in the [exec.blocks] metric. *)
+let test_blocks_counter () =
+  let module Obs = Scalana_obs.Obs in
+  let prog =
+    let open Expr.Infix in
+    two_rank_program (fun b ->
+        [
+          Builder.comp b ~flops:((rank + i 1) * i 1_000_000) ~mem:(i 10) ();
+          Builder.barrier b;
+        ])
+  in
+  Obs.reset ();
+  Obs.enable ();
+  let r = Fun.protect ~finally:Obs.disable (fun () -> run ~nprocs:4 prog) in
+  let counters = (Obs.Metrics.snapshot ()).Obs.Metrics.counters in
+  Obs.reset ();
+  check_int "events" r.Exec.events (List.assoc "exec.events" counters);
+  check_int "three ranks parked" 3 (List.assoc "exec.blocks" counters)
+
 (* --- elastic membership and recovery --- *)
 
 let test_elastic_membership_shrink () =
@@ -948,6 +1168,18 @@ let () =
         [
           Alcotest.test_case "reference digests (full registry)" `Quick
             test_engine_reference_digests;
+        ] );
+      ( "resume",
+        [
+          Alcotest.test_case "cg-weak np=1024 digest" `Quick
+            test_resume_cg_weak_1024;
+          Alcotest.test_case "nested frames digest" `Quick test_resume_nested;
+          Alcotest.test_case "error after resume keeps its loc" `Quick
+            test_resume_error_loc;
+          Alcotest.test_case "10k-deep recursion" `Quick
+            test_resume_deep_recursion;
+          Alcotest.test_case "parks counted in exec.blocks" `Quick
+            test_blocks_counter;
         ] );
       ( "elastic",
         [
