@@ -110,16 +110,16 @@ let ablation_compression () =
       ~cost:entry.cost static ~nprocs:32 ()
   in
   ignore config;
-  let comm = run.Scalana.Prof.data.Profdata.comm in
+  let data = run.Scalana.Prof.data in
   Printf.printf "  raw communication records : %d (%s)\n"
-    comm.Scalana_profile.Commrec.raw_records
-    (human_bytes (Commrec.uncompressed_bytes comm));
+    data.Profdata.raw_records
+    (human_bytes (Profdata.uncompressed_comm_bytes data));
   Printf.printf "  compressed (graph-guided) : %d p2p + %d coll (%s)\n"
-    (Commrec.n_p2p comm) (Commrec.n_coll comm)
-    (human_bytes (Commrec.storage_bytes comm));
+    (Profdata.n_p2p data) (Profdata.n_coll data)
+    (human_bytes (Profdata.comm_bytes data));
   let ratio =
-    float_of_int (Commrec.uncompressed_bytes comm)
-    /. float_of_int (max 1 (Commrec.storage_bytes comm))
+    float_of_int (Profdata.uncompressed_comm_bytes data)
+    /. float_of_int (max 1 (Profdata.comm_bytes data))
   in
   Printf.printf "  compression ratio         : %.0fx\n" ratio;
   note "repeated iterations reuse the same (vertex, peer, tag, size)";

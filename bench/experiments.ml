@@ -345,10 +345,10 @@ let per_vertex_counter name ~label ~metric ~nprocs ~optimized =
   in
   Array.init nprocs (fun rank ->
       match
-        Scalana_profile.Profdata.vector_opt run.Scalana.Prof.data ~rank
+        Scalana_profile.Profdata.pmu run.Scalana.Prof.data ~rank
           ~vertex:vertex.Scalana_psg.Vertex.id
       with
-      | Some v -> Pmu.get metric v.Scalana_profile.Perfvec.pmu
+      | Some pmu -> Pmu.get metric pmu
       | None -> 0.0)
 
 let fig15 () =

@@ -94,7 +94,9 @@ let make_tests () =
     Test.make ~name:"fig15_counter_extraction"
       (Staged.stage (fun () ->
            Scalana_profile.Profdata.touched_vertices data
-           |> List.map (fun v -> Scalana_profile.Profdata.across_ranks data ~vertex:v)));
+           |> List.map (fun vertex ->
+                  List.init data.Scalana_profile.Profdata.nprocs (fun rank ->
+                      Scalana_profile.Profdata.pmu data ~rank ~vertex))));
     (* 1 vs N domains over the same end-to-end pipeline: the wall-time
        ratio of these two rows is the multicore speedup *)
     Test.make ~name:"pipeline_parallel_speedup_domains1"

@@ -26,12 +26,10 @@ let dgemm_counters ~optimized ~nprocs =
   in
   Array.init nprocs (fun rank ->
       match
-        Scalana_profile.Profdata.vector_opt run.Scalana.Prof.data ~rank
+        Scalana_profile.Profdata.pmu run.Scalana.Prof.data ~rank
           ~vertex:vertex.Scalana_psg.Vertex.id
       with
-      | Some v ->
-          ( v.Scalana_profile.Perfvec.pmu.Pmu.tot_lst_ins,
-            v.Scalana_profile.Perfvec.pmu.Pmu.tot_cyc )
+      | Some pmu -> (pmu.Pmu.tot_lst_ins, pmu.Pmu.tot_cyc)
       | None -> (0.0, 0.0))
 
 let () =

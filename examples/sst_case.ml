@@ -27,10 +27,10 @@ let per_rank_tot_ins ~optimized ~nprocs =
   in
   Array.init nprocs (fun rank ->
       match
-        Scalana_profile.Profdata.vector_opt run.Scalana.Prof.data ~rank
+        Scalana_profile.Profdata.pmu run.Scalana.Prof.data ~rank
           ~vertex:vertex.Scalana_psg.Vertex.id
       with
-      | Some v -> v.Scalana_profile.Perfvec.pmu.Pmu.tot_ins
+      | Some pmu -> pmu.Pmu.tot_ins
       | None -> 0.0)
 
 let () =

@@ -5,7 +5,7 @@
    carries the static artifact and one profile per job scale between
    them.
 
-   Durable format (v2): production runs fill disks and die mid-write, so
+   Durable format (v3): production runs fill disks and die mid-write, so
    raw Marshal is wrapped in a versioned, checksummed record stream:
 
      header  = "SCALANA2" (8 bytes) ++ format version (1 byte)
@@ -17,7 +17,11 @@
    save of its scale and the newest intact record wins.  The salvage
    reader walks the stream and recovers the valid prefix of a truncated
    or bit-flipped file, reporting what was lost as a typed {!error}
-   instead of crashing the whole analysis. *)
+   instead of crashing the whole analysis.
+
+   v3 stores the columnar [Profdata.t]; a file of another version is
+   refused, never decoded, because unmarshaling a value of an older
+   shape is memory-unsafe. *)
 
 type session = {
   static : Static.t;
@@ -75,7 +79,7 @@ let () =
     | _ -> None)
 
 let magic = "SCALANA2"
-let format_version = 2
+let format_version = 3
 let header_bytes = String.length magic + 1
 
 let crc32 = Scalana_obs.History.crc32

@@ -1,12 +1,14 @@
 (** On-disk session artifacts shared by the scalana-static / -prof /
     -detect executables.
 
-    Format v2 wraps [Marshal] payloads in a durable record stream:
+    Format v3 wraps [Marshal] payloads in a durable record stream:
     ["SCALANA2"] magic + version byte, then per record a 4-byte
     big-endian payload length, a 4-byte big-endian CRC-32 and the
     payload.  Runs are appended record-by-record, and the salvage
     reader recovers the valid prefix of a truncated or corrupted file,
-    reporting damage as a typed {!error}. *)
+    reporting damage as a typed {!error}.  A file of another format
+    version is refused as [Bad_version], never decoded: unmarshaling a
+    value of an older shape is memory-unsafe. *)
 
 type session = {
   static : Static.t;

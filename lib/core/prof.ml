@@ -58,17 +58,21 @@ let apply_refinements (static : Static.t) (data : Profdata.t) =
    counter hands a real profiler. *)
 let apply_poison armed (data : Profdata.t) =
   if not (Faults.is_none armed) then
-    Array.iteri
-      (fun rank per_rank ->
-        Hashtbl.iter
-          (fun vertex (vec : Perfvec.t) ->
-            match Faults.poison armed ~rank ~vertex with
-            | Some `Nan -> vec.Perfvec.time <- Float.nan
-            | Some `Negative ->
-                vec.Perfvec.time <- -.Float.abs vec.Perfvec.time -. 1e-9
-            | None -> ())
-          per_rank)
-      data.Profdata.vectors
+    Array.iter
+      (fun (row : Profdata.row) ->
+        for rank = 0 to data.nprocs - 1 do
+          if row.seq.(rank) > 0 then
+            match Faults.poison armed ~rank ~vertex:row.vid with
+            | Some kind ->
+                let x = Profdata.cell row.time rank in
+                (* a waits-only cell has no time column yet *)
+                if Array.length row.time = 0 then
+                  row.time <- Array.make data.nprocs 0.0;
+                row.time.(rank) <-
+                  (if kind = `Nan then Float.nan else -.Float.abs x -. 1e-9)
+            | None -> ()
+        done)
+      data.rows
 
 let run ?(config = Config.default) ?(cost = Costmodel.default)
     ?(net = Network.default) ?(inject = Inject.empty)
@@ -104,6 +108,7 @@ let run ?(config = Config.default) ?(cost = Costmodel.default)
       static.Static.program
   in
   let data = Profiler.data profiler in
+  Profdata.trim data;
   apply_poison armed data;
   apply_refinements static data;
   {
@@ -254,6 +259,7 @@ let run_elastic ?(config = Config.default) ?(cost = Costmodel.default)
     epochs;
   let epoch_infos = List.rev !epoch_infos in
   let effective = Elastic.effective_nprocs epoch_infos in
+  Profdata.trim gdata;
   gdata.Profdata.effective_nprocs <- effective;
   let elapsed = Array.fold_left Float.max 0.0 gfinish in
   gdata.Profdata.elapsed <- Float.max gdata.Profdata.elapsed elapsed;

@@ -22,9 +22,6 @@ let create ?pool ~psg runs =
   in
   { psg; runs }
 
-let of_ppgs ~psg ppgs =
-  { psg; runs = List.sort (fun (a, _) (b, _) -> compare a b) ppgs }
-
 let scales t = List.map fst t.runs
 let largest t = List.nth t.runs (List.length t.runs - 1)
 let ppg_at t ~nprocs = List.assoc_opt nprocs t.runs
@@ -48,11 +45,5 @@ let series t ~vertex =
 
 (* Vertices observed in any run. *)
 let touched_vertices t =
-  let seen = Hashtbl.create 128 in
-  List.iter
-    (fun (_, ppg) ->
-      List.iter
-        (fun vid -> Hashtbl.replace seen vid ())
-        (Ppg.touched_vertices ppg))
-    t.runs;
-  Hashtbl.fold (fun vid () acc -> vid :: acc) seen [] |> List.sort compare
+  List.concat_map (fun (_, ppg) -> Ppg.touched_vertices ppg) t.runs
+  |> List.sort_uniq compare

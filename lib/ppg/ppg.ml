@@ -6,18 +6,14 @@
    communication-dependence edges recorded at runtime.  Backtracking
    (Scalana_detect.Backtrack) walks this structure.
 
-   The store is columnar: every perf-vector component lives in a flat
-   row-major column indexed by (row, rank) where a row is one touched
-   vertex, so a vertex's across-rank values are one contiguous slice and
-   the whole-graph scans the detectors run (aggregation, deviation
-   thresholds, log-log fit batches) touch dense float arrays instead of
-   chasing per-rank hash tables.  [build] fills the columns in a single
-   pass over the profile and drops every reference to the boxed
-   [Profdata] vectors afterwards; the accessor API reads the columns, so
-   callers see exactly the values the boxed store served.  Cells no rank
-   reported stay 0.0 (the historical absent-cell value) and poisoned
-   cells keep their NaN/negative payloads bit-for-bit; [present] tells
-   the two apart where it matters (coverage, [perf]). *)
+   The store is columnar: sampled time and exact wait each live in a
+   flat row-major column indexed by (row, rank) where a row is one
+   touched vertex, so a vertex's across-rank values are one contiguous
+   slice and the whole-graph scans the detectors run (aggregation,
+   deviation thresholds, log-log fit batches) touch dense float arrays.
+   [build] freezes the profiler's rows: the touched ones, in ascending
+   vertex order, one blit each.  Cells no rank reported stay 0.0 and
+   poisoned cells keep their NaN/negative payloads bit-for-bit. *)
 
 open Scalana_psg
 open Scalana_profile
@@ -40,21 +36,12 @@ type t = {
   rows : (int, int) Hashtbl.t;  (* vertex id -> row *)
   times : float array;
   waits : float array;
-  samples : int array;
-  calls : int array;
-  (* PMU components, one column per counter *)
-  tot_ins : float array;
-  tot_lst_ins : float array;
-  tot_cyc : float array;
-  cache_miss : float array;
-  fp_ins : float array;
-  present : Bytes.t;  (* 1 where the rank reported a vector *)
   row_present : int array;  (* row -> number of reporting ranks *)
   total_time : float;  (* precomputed quarantine-aware whole-run total *)
-  (* incoming communication dependence per (recv rank, recv vertex) *)
-  incoming : (int * int, comm_edge list) Hashtbl.t;
-  (* collective vertex -> dominant last-arrival rank *)
-  coll_late : (int, int) Hashtbl.t;
+  (* incoming communication dependence, grouped by receiving cell *)
+  in_cells : int array;
+  in_edges : comm_edge array;
+  coll_late : int array;  (* row -> dominant last-arrival rank, or -1 *)
 }
 
 let row t ~vertex = Hashtbl.find_opt t.rows vertex
@@ -64,154 +51,169 @@ let row_offset t ~vertex =
   match row t ~vertex with Some r -> Some (r * t.nprocs) | None -> None
 
 let times_col t = t.times
-let waits_col t = t.waits
 
-let time_of t ~rank ~vertex =
+let cell t col ~rank ~vertex =
   match row t ~vertex with
-  | Some r when rank >= 0 && rank < t.nprocs -> t.times.((r * t.nprocs) + rank)
+  | Some r when rank >= 0 && rank < t.nprocs -> col.((r * t.nprocs) + rank)
   | _ -> 0.0
 
-let wait_of t ~rank ~vertex =
-  match row t ~vertex with
-  | Some r when rank >= 0 && rank < t.nprocs -> t.waits.((r * t.nprocs) + rank)
-  | _ -> 0.0
+let time_of t = cell t t.times
+let wait_of t = cell t t.waits
 
-(* Reconstructed boxed vector for one present cell — a convenience view
-   for callers outside the scan paths; the columns stay authoritative. *)
-let perf t ~rank ~vertex =
-  match row t ~vertex with
-  | Some r when rank >= 0 && rank < t.nprocs ->
-      let i = (r * t.nprocs) + rank in
-      if Bytes.get t.present i = '\000' then None
-      else
-        Some
-          {
-            Perfvec.time = t.times.(i);
-            samples = t.samples.(i);
-            pmu =
-              {
-                Scalana_runtime.Pmu.tot_ins = t.tot_ins.(i);
-                tot_lst_ins = t.tot_lst_ins.(i);
-                tot_cyc = t.tot_cyc.(i);
-                cache_miss = t.cache_miss.(i);
-                fp_ins = t.fp_ins.(i);
-              };
-            wait = t.waits.(i);
-            calls = t.calls.(i);
-          }
-  | _ -> None
+(* Buckets of a stdlib hash table created with [init] buckets once it
+   holds [n] entries: it doubles whenever an add leaves more than two
+   entries per bucket. *)
+let buckets init n =
+  let len = ref init in
+  while n > 2 * !len do len := 2 * !len done;
+  !len
+
+(* The boxed profile store this PPG once ingested kept one hash table
+   per rank (64 buckets), one for the dependence records (256) and one
+   per collective histogram (16).  Reports print sums and tie-breaks
+   that followed those tables' fold order: buckets in index order,
+   newest insertion first within a bucket.  The freeze replays that
+   order from [seq] (per-rank insertion order) and the record ids
+   (global insertion order). *)
+let fold_order ~mask ~hash ~newer a b =
+  match Int.compare (hash a land mask) (hash b land mask) with
+  | 0 -> Int.compare (newer b) (newer a)
+  | c -> c
+
+(* Whole-run sampled time: per rank in fold order, then across ranks;
+   poisoned (NaN/negative) values are quarantined, not summed. *)
+let fold_order_total (data : Profdata.t) (rows : Profdata.row array) =
+  let hashes = Array.map (fun (r : Profdata.row) -> Hashtbl.hash r.vid) rows in
+  let total = ref 0.0 in
+  for rank = 0 to data.nprocs - 1 do
+    let seq i = rows.(i).seq.(rank) in
+    let order = List.filter (fun i -> seq i > 0) (List.init (Array.length rows) Fun.id) in
+    let mask = buckets 64 data.reported.(rank) - 1 in
+    total :=
+      !total
+      +. List.fold_left
+           (fun acc i ->
+             let x = Profdata.cell rows.(i).time rank in
+             if Float.is_nan x || x < 0.0 then acc else acc +. x)
+           0.0
+           (List.sort (fold_order ~mask ~hash:(Array.get hashes) ~newer:seq) order)
+  done;
+  !total
+
+(* Receiving cells with at least one edge. *)
+let n_comm_edges t =
+  let n = ref 0 in
+  Array.iteri (fun i c -> if i = 0 || t.in_cells.(i - 1) <> c then incr n) t.in_cells;
+  !n
 
 let build ~(psg : Psg.t) (data : Profdata.t) =
   Scalana_obs.Obs.with_span
     ~args:[ ("nprocs", string_of_int data.Profdata.nprocs) ]
     "ppg.build"
   @@ fun () ->
-  let p2p = Commrec.p2p_edges data.Profdata.comm in
-  let incoming = Hashtbl.create (max 16 (List.length p2p)) in
+  let nprocs = data.nprocs and vid row = data.rows.(row).Profdata.vid in
+  let present i = Array.fold_left (fun n s -> if s > 0 then n + 1 else n) 0 data.rows.(i).seq in
+  let kept =
+    List.filter (fun i -> present i > 0) (List.init (Array.length data.rows) Fun.id)
+    |> List.sort (fun a b -> Int.compare (vid a) (vid b))
+    |> Array.of_list
+  in
+  let rows = Hashtbl.create (max 16 (Array.length kept)) in
+  Array.iteri (fun r i -> Hashtbl.replace rows (vid i) r) kept;
+  let col get =
+    let c = Array.make (Array.length kept * nprocs) 0.0 in
+    Array.iteri
+      (fun r i ->
+        let a = get data.rows.(i) in
+        if Array.length a > 0 then Array.blit a 0 c (r * nprocs) nprocs)
+      kept;
+    c
+  in
+  (* incoming edges grouped by receiving cell, in fold order within it *)
+  let keys = Array.init (Profdata.n_p2p data) (Profdata.p2p_key data) in
+  let mask = buckets 256 (Array.length keys) - 1 in
+  let cell =
+    Array.map (fun (rr, rrow, _, _, _, _) -> (Hashtbl.find rows (vid rrow) * nprocs) + rr) keys
+  in
+  let hash id =
+    let rr, rrow, sr, srow, tag, bytes = keys.(id) in
+    Hashtbl.hash (rr, vid rrow, sr, vid srow, tag, bytes)
+  in
+  let bucket = Array.init (Array.length keys) hash in
+  let ncells = Array.length kept * nprocs in
+  let first = Array.make (ncells + 1) 0 in
+  Array.iter (fun c -> first.(c + 1) <- first.(c + 1) + 1) cell;
+  for c = 1 to ncells do first.(c) <- first.(c) + first.(c - 1) done;
+  let fill = Array.sub first 0 ncells and order = Array.make (Array.length keys) 0 in
+  Array.iteri
+    (fun id c ->
+      (* insert into the cell's slots, which stay in fold order *)
+      let j = ref fill.(c) in
+      while !j > first.(c)
+            && fold_order ~mask ~hash:(Array.get bucket) ~newer:Fun.id order.(!j - 1) id > 0
+      do
+        order.(!j) <- order.(!j - 1);
+        decr j
+      done;
+      order.(!j) <- id;
+      fill.(c) <- fill.(c) + 1)
+    cell;
+  let in_cells = Array.map (Array.get cell) order in
+  let edge id =
+    let _, _, send_rank, srow, _, _ = keys.(id) in
+    { send_rank; send_vertex = vid srow; has_wait = data.p2p_waited.(id) = 1;
+      max_wait = data.p2p_max_wait.(id); hits = data.p2p_hits.(id) }
+  in
+  (* dominant last-arriving rank per collective: the first entry with
+     the most hits in fold order *)
+  let hist = Array.make (Array.length data.rows) [] in
   List.iter
-    (fun (e : Commrec.p2p_edge) ->
-      let k = (e.key.recv_rank, e.key.recv_vertex) in
-      let edge =
-        {
-          send_rank = e.key.send_rank;
-          send_vertex = e.key.send_vertex;
-          has_wait = e.has_wait;
-          max_wait = e.max_wait;
-          hits = e.hits;
-        }
-      in
-      let existing =
-        match Hashtbl.find_opt incoming k with Some l -> l | None -> []
-      in
-      Hashtbl.replace incoming k (edge :: existing))
-    p2p;
-  let coll_late = Hashtbl.create 32 in
-  List.iter
-    (fun (r : Commrec.coll_rec) ->
-      let late = Commrec.dominant_late_rank r in
-      if late >= 0 then Hashtbl.replace coll_late r.coll_vertex late)
-    (Commrec.coll_records data.Profdata.comm);
-  let touched = Profdata.touched_vertices data in
-  let nprocs = data.Profdata.nprocs in
-  let vids = Array.of_list touched in
-  let nrows = Array.length vids in
-  let rows = Hashtbl.create (max 16 nrows) in
-  Array.iteri (fun r vid -> Hashtbl.replace rows vid r) vids;
-  let cells = nrows * nprocs in
-  let times = Array.make cells 0.0 in
-  let waits = Array.make cells 0.0 in
-  let samples = Array.make cells 0 in
-  let calls = Array.make cells 0 in
-  let tot_ins = Array.make cells 0.0 in
-  let tot_lst_ins = Array.make cells 0.0 in
-  let tot_cyc = Array.make cells 0.0 in
-  let cache_miss = Array.make cells 0.0 in
-  let fp_ins = Array.make cells 0.0 in
-  let present = Bytes.make cells '\000' in
-  let row_present = Array.make nrows 0 in
-  (* the single ingest pass: every (rank, vertex) vector lands in its
-     cell once, so table iteration order cannot matter *)
-  Profdata.iter_cells data (fun ~rank ~vertex (v : Perfvec.t) ->
-      match Hashtbl.find_opt rows vertex with
-      | None -> ()
-      | Some r ->
-          let i = (r * nprocs) + rank in
-          times.(i) <- v.Perfvec.time;
-          waits.(i) <- v.Perfvec.wait;
-          samples.(i) <- v.Perfvec.samples;
-          calls.(i) <- v.Perfvec.calls;
-          let p = v.Perfvec.pmu in
-          tot_ins.(i) <- p.Scalana_runtime.Pmu.tot_ins;
-          tot_lst_ins.(i) <- p.Scalana_runtime.Pmu.tot_lst_ins;
-          tot_cyc.(i) <- p.Scalana_runtime.Pmu.tot_cyc;
-          cache_miss.(i) <- p.Scalana_runtime.Pmu.cache_miss;
-          fp_ins.(i) <- p.Scalana_runtime.Pmu.fp_ins;
-          Bytes.set present i '\001';
-          row_present.(r) <- row_present.(r) + 1);
-  (* the whole-run total keeps the boxed store's exact summation order
-     (per-rank table fold, then across ranks), so reports that print it
-     stay byte-identical *)
-  let total_time =
-    Array.init nprocs (fun rank ->
-        Hashtbl.fold
-          (fun _ (v : Perfvec.t) acc ->
-            (* poisoned (NaN/negative) values are quarantined, not summed *)
-            if Float.is_nan v.time || v.time < 0.0 then acc else acc +. v.time)
-          data.Profdata.vectors.(rank) 0.0)
-    |> Array.fold_left ( +. ) 0.0
+    (fun (id, row, rank) -> hist.(row) <- (id, rank) :: hist.(row))
+    (Profdata.coll_entries data);
+  let late entries =
+    let mask = buckets 16 (List.length entries) - 1 in
+    List.sort (fold_order ~mask ~hash:(fun (_, r) -> Hashtbl.hash r) ~newer:fst) entries
+    |> List.fold_left
+         (fun (best, n) (id, r) ->
+           if data.coll_hits.(id) > n then (r, data.coll_hits.(id)) else (best, n))
+         (-1, 0)
+    |> fst
   in
   let t =
     {
       psg;
       nprocs;
-      effective_nprocs = data.Profdata.effective_nprocs;
-      vids;
+      effective_nprocs = data.effective_nprocs;
+      vids = Array.map vid kept;
       rows;
-      times;
-      waits;
-      samples;
-      calls;
-      tot_ins;
-      tot_lst_ins;
-      tot_cyc;
-      cache_miss;
-      fp_ins;
-      present;
-      row_present;
-      total_time;
-      incoming;
-      coll_late;
+      times = col (fun r -> r.time);
+      waits = col (fun r -> r.wait);
+      row_present = Array.map present kept;
+      total_time = fold_order_total data (Array.map (Array.get data.rows) kept);
+      in_cells;
+      in_edges = Array.map edge order;
+      coll_late = Array.map (fun i -> late hist.(i)) kept;
     }
   in
   Scalana_obs.Obs.Metrics.incr "ppg.builds";
-  Scalana_obs.Obs.Metrics.incr ~by:nrows "ppg.vertices";
-  Scalana_obs.Obs.Metrics.incr ~by:(Hashtbl.length incoming) "ppg.comm_edges";
+  Scalana_obs.Obs.Metrics.incr ~by:(Array.length kept) "ppg.vertices";
+  Scalana_obs.Obs.Metrics.incr ~by:(n_comm_edges t) "ppg.comm_edges";
   t
 
 let incoming_edges t ~rank ~vertex =
-  match Hashtbl.find_opt t.incoming (rank, vertex) with
-  | Some l -> l
-  | None -> []
+  match row t ~vertex with
+  | Some r when rank >= 0 && rank < t.nprocs ->
+      let c = (r * t.nprocs) + rank and n = Array.length t.in_cells in
+      let lo = ref 0 and hi = ref n in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if t.in_cells.(mid) < c then lo := mid + 1 else hi := mid
+      done;
+      let rec from i =
+        if i < n && t.in_cells.(i) = c then t.in_edges.(i) :: from (i + 1) else []
+      in
+      from !lo
+  | _ -> []
 
 (* Edges that carried an actual wait — the ones backtracking keeps after
    pruning (Section IV-B). *)
@@ -228,34 +230,21 @@ let critical_edge t ~rank ~vertex =
            (fun best e -> if e.max_wait > best.max_wait then e else best)
            (List.hd l) l)
 
-let coll_late_rank t ~vertex = Hashtbl.find_opt t.coll_late vertex
+let coll_late_rank t ~vertex =
+  match row t ~vertex with
+  | Some r when t.coll_late.(r) >= 0 -> Some t.coll_late.(r)
+  | _ -> None
 
 (* Per-rank values of one vertex (0 where untouched): a fresh copy of
    the row slice, so callers may sort or scale it freely. *)
-let times_across_ranks t ~vertex =
+let across_ranks t col ~vertex =
   match row t ~vertex with
-  | Some r ->
-      let off = r * t.nprocs in
-      Array.sub t.times off t.nprocs
+  | Some r -> Array.sub col (r * t.nprocs) t.nprocs
   | None -> Array.make t.nprocs 0.0
 
-let waits_across_ranks t ~vertex =
-  match row t ~vertex with
-  | Some r ->
-      let off = r * t.nprocs in
-      Array.sub t.waits off t.nprocs
-  | None -> Array.make t.nprocs 0.0
-
-let total_wait t ~vertex =
-  match row t ~vertex with
-  | Some r ->
-      let off = r * t.nprocs in
-      let acc = ref 0.0 in
-      for rank = 0 to t.nprocs - 1 do
-        acc := !acc +. t.waits.(off + rank)
-      done;
-      !acc
-  | None -> 0.0
+let times_across_ranks t = across_ranks t t.times
+let waits_across_ranks t = across_ranks t t.waits
+let total_wait t ~vertex = Array.fold_left ( +. ) 0.0 (waits_across_ranks t ~vertex)
 
 (* Fraction of ranks reporting at [vertex] (degraded-mode coverage).
    Always finite: an all-killed vertex degrades to 0.0, never NaN. *)
@@ -270,21 +259,15 @@ let coverage t ~vertex =
    precomputed during the ingest pass. *)
 let total_time t = t.total_time
 
-let n_comm_edges t = Hashtbl.length t.incoming
-
 (* Bytes retained by the store itself, beyond the profile it was built
-   from: the columns plus the dependence tables.  Exact for the columns;
+   from: the columns plus the dependence edges.  Exact for the columns;
    the memory bench cross-checks the total against a GC live-words
    delta. *)
 let storage_bytes t =
-  let cells = Array.length t.times in
-  let float_cols = 7 and int_cols = 2 in
-  (cells * 8 * (float_cols + int_cols))
-  + Bytes.length t.present
-  + (8 * Array.length t.row_present)
-  + (8 * Array.length t.vids)
-  + Hashtbl.fold (fun _ l acc -> acc + (56 * List.length l)) t.incoming 0
-  + (24 * Hashtbl.length t.coll_late)
+  (8 * (Array.length t.times + Array.length t.waits))
+  + (8 * (Array.length t.row_present + Array.length t.vids))
+  + (8 * Array.length t.coll_late)
+  + (64 * Array.length t.in_edges)
 
 (* Vertices any rank reported on, sorted — the detectors' iteration
    domain. *)

@@ -1,14 +1,14 @@
 (** Program Performance Graph (Section III-C): the contracted PSG shared
-    by all ranks, per-(rank, vertex) performance vectors, and the
+    by all ranks, per-(rank, vertex) sampled times and waits, and the
     inter-process communication-dependence edges recorded at runtime.
 
-    The store is columnar: each perf-vector component is a flat
-    row-major column over (touched vertex, rank) cells, so across-rank
-    reads are contiguous slices and detector batches scan dense float
-    arrays.  Accessors serve exactly the values the pre-columnar boxed
-    store served (the differential suite in [test/test_ppg.ml] pins
-    this), including 0.0 for cells no rank reported and verbatim
-    NaN/negative payloads for poisoned cells. *)
+    The store is columnar: times and waits are flat row-major columns
+    over (touched vertex, rank) cells, so across-rank reads are
+    contiguous slices and detector batches scan dense float arrays.
+    Accessors serve exactly the values the boxed profile store served
+    (the differential suite in [test/test_ppg.ml] pins this), including
+    0.0 for cells no rank reported and verbatim NaN/negative payloads
+    for poisoned cells. *)
 
 open Scalana_psg
 open Scalana_profile
@@ -29,20 +29,15 @@ type t = {
   rows : (int, int) Hashtbl.t;  (** vertex id -> row *)
   times : float array;  (** cell (row, rank) at [row * nprocs + rank] *)
   waits : float array;
-  samples : int array;
-  calls : int array;
-  tot_ins : float array;
-  tot_lst_ins : float array;
-  tot_cyc : float array;
-  cache_miss : float array;
-  fp_ins : float array;
-  present : Bytes.t;  (** ['\001'] where the rank reported a vector *)
-  row_present : int array;
+  row_present : int array;  (** row -> number of reporting ranks *)
   total_time : float;
-  incoming : (int * int, comm_edge list) Hashtbl.t;
-  coll_late : (int, int) Hashtbl.t;
+  in_cells : int array;  (** receiving cell of each incoming edge, sorted *)
+  in_edges : comm_edge array;
+  coll_late : int array;  (** row -> dominant last-arriving rank, or -1 *)
 }
 
+(** Freeze a profile: compact its rows to the touched vertices in
+    ascending id order, one blit per row and column. *)
 val build : psg:Psg.t -> Profdata.t -> t
 
 (** Incoming communication dependence of (rank, vertex). *)
@@ -57,7 +52,6 @@ val critical_edge : t -> rank:int -> vertex:int -> comm_edge option
 (** Dominant last-arriving rank at a collective vertex. *)
 val coll_late_rank : t -> vertex:int -> int option
 
-val perf : t -> rank:int -> vertex:int -> Perfvec.t option
 val time_of : t -> rank:int -> vertex:int -> float
 val wait_of : t -> rank:int -> vertex:int -> float
 
@@ -69,8 +63,6 @@ val row_offset : t -> vertex:int -> int option
 (** The raw columns behind [row_offset] slices.  Read-only by
     convention: mutating them corrupts the store. *)
 val times_col : t -> float array
-
-val waits_col : t -> float array
 
 (** Per-rank times of one vertex (0 where untouched) — a fresh copy of
     the row slice, free for the caller to reorder. *)
@@ -94,7 +86,7 @@ val total_time : t -> float
 val n_comm_edges : t -> int
 
 (** Bytes retained by the store itself (the columns plus dependence
-    tables), beyond the profile it was built from. *)
+    edges), beyond the profile it was built from. *)
 val storage_bytes : t -> int
 
 (** Vertices any rank reported on, sorted — the detectors' iteration

@@ -36,6 +36,11 @@ type t = {
 }
 
 let create ?(config = default_config) ~index ~nprocs () =
+  if not (Float.is_finite config.freq && config.freq > 0.0) then
+    invalid_arg
+      (Printf.sprintf
+         "sampling frequency (--freq) must be finite and > 0, got %g"
+         config.freq);
   {
     cfg = config;
     sites = Index.memo index;
@@ -72,20 +77,19 @@ let on_interval t (ctx : Instrument.ctx) ~stop activity =
     t.data.total_samples <- t.data.total_samples + n;
     (match resolve t ctx with
     | None -> t.data.unattributed_samples <- t.data.unattributed_samples + n
-    | Some vid ->
-        let v = Profdata.vector t.data ~rank:ctx.rank ~vertex:vid in
-        let duration = stop -. ctx.time in
+    | Some vertex -> (
+        let row = Profdata.row_index t.data ~vertex in
+        Profdata.add_sampled t.data ~row ~rank:ctx.rank ~time:est_time
+          ~samples:n;
         (* attribute counter deltas at the sampling rate: pmu-rate of the
            span times the sampled time — unbiased like PAPI's interrupt
            deltas, regardless of span length *)
-        let pmu =
-          match activity with
-          | Instrument.Compute { pmu; _ } when duration > 0.0 ->
-              Pmu.scale (est_time /. duration) pmu
-          | Instrument.Compute { pmu; _ } -> pmu
-          | Instrument.Mpi_span _ -> Pmu.zero
-        in
-        Perfvec.add_sampled v ~time:est_time ~samples:n ~pmu);
+        match activity with
+        | Instrument.Compute { pmu; _ } ->
+            let duration = stop -. ctx.time in
+            let k = if duration > 0.0 then est_time /. duration else 1.0 in
+            Profdata.add_pmu t.data ~row ~rank:ctx.rank ~k pmu
+        | Instrument.Mpi_span _ -> ()));
     (* Samples landing inside an MPI wait overlap the blocked time: the
        interrupt handler runs while the process would be idle, so it does
        not extend the critical path.  Only compute-span samples perturb
@@ -101,9 +105,9 @@ let on_mpi_exit t (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
   let overhead = ref t.cfg.per_call_cost in
   (match resolve t ctx with
   | None -> ()
-  | Some vid -> (
-      let v = Profdata.vector t.data ~rank:ctx.rank ~vertex:vid in
-      Perfvec.add_wait v ~wait:info.wait_seconds;
+  | Some vertex -> (
+      let row = Profdata.row_index t.data ~vertex in
+      Profdata.add_wait t.data ~row ~rank:ctx.rank ~calls:1 info.wait_seconds;
       (* random-sampling instrumentation: record parameters only when the
          draw falls below the threshold (Section III-B2) *)
       let record =
@@ -114,7 +118,7 @@ let on_mpi_exit t (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
         | Some c ->
             t.data.records_taken <- t.data.records_taken + 1;
             overhead := !overhead +. t.cfg.per_record_cost;
-            Commrec.record_coll t.data.comm ~vertex:vid
+            Profdata.record_coll t.data ~row
               ~last_arrival_rank:c.last_arrival_rank
         | None ->
             List.iter
@@ -127,17 +131,10 @@ let on_mpi_exit t (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
                 | Some send_vid ->
                     t.data.records_taken <- t.data.records_taken + 1;
                     overhead := !overhead +. t.cfg.per_record_cost;
-                    let key =
-                      {
-                        Commrec.recv_rank = ctx.rank;
-                        recv_vertex = vid;
-                        send_rank = d.peer_rank;
-                        send_vertex = send_vid;
-                        tag = d.dep_tag;
-                        bytes = d.dep_bytes;
-                      }
-                    in
-                    Commrec.record_p2p t.data.comm ~key
+                    Profdata.record_p2p t.data ~recv_row:row
+                      ~recv_rank:ctx.rank
+                      ~send_row:(Profdata.row_index t.data ~vertex:send_vid)
+                      ~send_rank:d.peer_rank ~tag:d.dep_tag ~bytes:d.dep_bytes
                       ~waited:(info.wait_seconds > t.cfg.wait_epsilon)
                       ~wait_seconds:info.wait_seconds)
               info.deps));

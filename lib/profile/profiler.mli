@@ -20,7 +20,8 @@ type t
 
 (** A profiler observes one simulator run: it memoizes vertex
     resolution per site id ({!Index.memo}), which is only valid for the
-    run it was created for. *)
+    run it was created for.
+    Raises [Invalid_argument] unless [config.freq] is finite and > 0. *)
 val create : ?config:config -> index:Index.t -> nprocs:int -> unit -> t
 val data : t -> Profdata.t
 

@@ -3,14 +3,16 @@
    This is the boxed, Hashtbl-backed implementation that lib/ppg carried
    before the columnar-store rework: per-(rank, vertex) Perfvec lookups
    against the profile's own tables, with per-vertex across-rank arrays
-   frozen into caches at build time.  The equivalence suite in
-   test_ppg.ml builds both this and the production store from the same
-   profile and asserts every accessor digest matches, over the full
-   registry at several scales, clean and faulted.  Do not "improve" this
-   module: its value is that it does not change. *)
+   frozen into caches at build time.  It reads the boxed profile of
+   Boxed_profile.  The equivalence suite in test_ppg.ml profiles the same
+   deterministic config once with the boxed profiler (feeding this
+   builder) and once with the production profiler (feeding Ppg.build)
+   and asserts every accessor digest matches, over the full registry at
+   several scales, clean and faulted.  Do not "improve" this module: its
+   value is that it does not change. *)
 
 open Scalana_psg
-open Scalana_profile
+open Boxed_profile
 
 type comm_edge = {
   send_rank : int;

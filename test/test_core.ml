@@ -312,6 +312,42 @@ let test_artifact_decode_failure_surfaced () =
        true
      with Not_found -> false)
 
+(* Profiles written before the columnar store (format v2) are refused,
+   never decoded: unmarshaling the boxed record into the new type would
+   be memory-unsafe.  scalana-detect then has no profile left and exits
+   2. *)
+let test_artifact_old_version_refused () =
+  let dir = Filename.temp_file "scalana" "" in
+  Sys.remove dir;
+  Scalana.Artifact.save_static dir
+    (Scalana.Static.analyze ((Scalana_apps.Registry.find "cg").make ()));
+  List.iter
+    (fun np ->
+      let oc = open_out_bin (Scalana.Artifact.run_path dir np) in
+      output_string oc Scalana.Artifact.magic;
+      output_byte oc 2;
+      let payload = Marshal.to_string (np, "a v2 profile") [] in
+      output_binary_int oc (String.length payload);
+      output_binary_int oc (Scalana.Artifact.crc32 payload);
+      output_string oc payload;
+      close_out oc)
+    [ 4; 8 ];
+  let runs, issues = Scalana.Artifact.load_runs_salvage dir in
+  check_int "nothing decoded" 0 (List.length runs);
+  check_int "both files refused" 2 (List.length issues);
+  List.iter
+    (fun (i : Scalana.Artifact.issue) ->
+      match i.error with
+      | Scalana.Artifact.Bad_version { version = 2; _ } -> ()
+      | e ->
+          Alcotest.failf "expected Bad_version 2, got %s"
+            (Scalana.Artifact.error_message e))
+    issues;
+  check_int "scalana-detect exits 2" 2
+    (Sys.command
+       (Printf.sprintf "../bin/scalana_detect.exe -s %s >/dev/null 2>&1"
+          (Filename.quote dir)))
+
 let test_artifact_append_last_wins () =
   let dir = Filename.temp_file "scalana" "" in
   Sys.remove dir;
@@ -745,6 +781,8 @@ let () =
             test_artifact_decode_failure_surfaced;
           Alcotest.test_case "append, last record wins" `Quick
             test_artifact_append_last_wins;
+          Alcotest.test_case "v2 profile refused" `Quick
+            test_artifact_old_version_refused;
           prop_artifact_roundtrip_bytes;
         ] );
       ( "degraded",

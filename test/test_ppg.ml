@@ -1,8 +1,10 @@
 (* Tests for PPG construction and the cross-scale container, plus the
    columnar store's safety net: a differential-equivalence suite that
-   rebuilds every registry profile with the frozen pre-columnar builder
-   (Ppg_reference) and asserts accessor-digest equality, and seeded
-   properties for sparse-coverage round-trips through the columns. *)
+   profiles every registry config with both the boxed profiler feeding
+   the frozen pre-columnar builder (Boxed_profile, Ppg_reference) and
+   the production profiler feeding Ppg.build, and asserts
+   accessor-digest and cell-level equality; and seeded properties for
+   sparse-coverage round-trips through the columns. *)
 
 open Scalana_mlang
 open Scalana_psg
@@ -149,7 +151,8 @@ let test_crossscale () =
 (* --- differential equivalence against the frozen pre-columnar builder ---
 
    Every accessor of the production store, digested and compared against
-   Ppg_reference built from the *same* profile, over the full Table II
+   Ppg_reference built from the boxed profile of the same deterministic
+   config, over the full Table II
    registry at np in {4, 16, 64}, clean and under a fault plan that
    exercises every degraded shape the columns must carry: a killed rank
    (absent cells), a skewed clock (asymmetric values), and poisoned
@@ -276,14 +279,25 @@ let diff_fault_plan =
       Faults.poison_metric ~prob:0.1 `Negative;
     ]
 
-let profile_entry ?faults (entry : Scalana_apps.Registry.entry) ~nprocs =
-  let prog = entry.Scalana_apps.Registry.make () in
-  let static = Scalana.Static.analyze prog in
-  let r =
-    Scalana.Prof.run ?faults ~cost:entry.Scalana_apps.Registry.cost static
-      ~nprocs ()
+(* Each side profiles its own run of the same deterministic config:
+   attaching both tools to one run would double the charged overhead.
+   The production side is Scalana.Prof feeding the Ppg.build freeze; the
+   reference side is the boxed profiler feeding Ppg_reference. *)
+let profile_pair ?faults ?elastic (entry : Scalana_apps.Registry.entry) ~nprocs
+    =
+  let cost = entry.Scalana_apps.Registry.cost in
+  let analyze () = Scalana.Static.analyze (entry.Scalana_apps.Registry.make ()) in
+  let static = analyze () and static_ref = analyze () in
+  let data, boxed =
+    match elastic with
+    | Some plan ->
+        ( (Scalana.Prof.run_elastic ~cost ~plan static ~nprocs ()).Scalana.Prof.data,
+          Boxed_profile.run_elastic ~cost ~plan static_ref ~nprocs )
+    | None ->
+        ( (Scalana.Prof.run ?faults ~cost static ~nprocs ()).Scalana.Prof.data,
+          Boxed_profile.run ?faults ~cost static_ref ~nprocs )
   in
-  (Scalana.Static.psg static, r.Scalana.Prof.data)
+  (Scalana.Static.psg static, data, Scalana.Static.psg static_ref, boxed)
 
 let test_differential_registry () =
   let checked = ref 0 in
@@ -293,11 +307,11 @@ let test_differential_registry () =
         (fun nprocs ->
           List.iter
             (fun (mode, faults) ->
-              let psg, data = profile_entry ?faults entry ~nprocs in
+              let psg, data, psg_ref, boxed = profile_pair ?faults entry ~nprocs in
               let columnar = component_digests (view_of_ppg (Ppg.build ~psg data)) in
               let reference =
                 component_digests
-                  (view_of_reference (Ppg_reference.build ~psg data))
+                  (view_of_reference (Ppg_reference.build ~psg:psg_ref boxed))
               in
               List.iter2
                 (fun (name, r) (name', c) ->
@@ -313,6 +327,221 @@ let test_differential_registry () =
     Scalana_apps.Registry.all;
   (* the full pin: 11 apps x 3 scales x clean+faulted *)
   check_int "66 digests compared" 66 !checked
+
+(* --- cell-level differential: columnar profile vs boxed profile --- *)
+
+module B = Boxed_profile
+
+let bits = Int64.bits_of_float
+
+(* Every column of every reported cell, bit for bit, plus the edge sets,
+   collective histograms, counters and the storage model. *)
+let count a rank = if Array.length a = 0 then 0 else a.(rank)
+
+let check_profiles label (data : Profdata.t) (boxed : B.Profdata.t) =
+  let ck name = check_bool (label ^ ": " ^ name) true in
+  ck "touched"
+    (Profdata.touched_vertices data = B.Profdata.touched_vertices boxed);
+  let cells = ref 0 in
+  B.Profdata.iter_cells boxed (fun ~rank ~vertex (v : B.Perfvec.t) ->
+      incr cells;
+      let ok =
+        match Profdata.find_row data ~vertex with
+        | None -> false
+        | Some r ->
+            let p = v.B.Perfvec.pmu in
+            r.seq.(rank) > 0
+            && List.for_all2
+                 (fun a b -> bits a = bits b)
+                 (List.map
+                    (fun col -> Profdata.cell col rank)
+                    [ r.time; r.tot_ins; r.tot_lst_ins; r.tot_cyc;
+                      r.cache_miss; r.fp_ins; r.wait ])
+                 [
+                   v.time; p.Pmu.tot_ins; p.Pmu.tot_lst_ins; p.Pmu.tot_cyc;
+                   p.Pmu.cache_miss; p.Pmu.fp_ins; v.wait;
+                 ]
+            && count r.samples rank = v.samples
+            && count r.calls rank = v.calls
+      in
+      if not ok then
+        Alcotest.failf "%s: cell rank=%d vertex=%d differs" label rank vertex);
+  check_int (label ^ ": reported cells") !cells
+    (Array.fold_left ( + ) 0 data.reported);
+  let edges =
+    List.init (Profdata.n_p2p data) (fun id ->
+        let recv_rank, recv_row, send_rank, send_row, tag, bytes =
+          Profdata.p2p_key data id
+        in
+        ( ( recv_rank, data.rows.(recv_row).vid, send_rank,
+            data.rows.(send_row).vid, tag, bytes ),
+          ( data.p2p_hits.(id), data.p2p_waited.(id) = 1,
+            bits data.p2p_max_wait.(id) ) ))
+  in
+  let boxed_edges =
+    List.map
+      (fun (e : B.Commrec.p2p_edge) ->
+        let k = e.key in
+        ( ( k.recv_rank, k.recv_vertex, k.send_rank, k.send_vertex, k.tag,
+            k.bytes ),
+          (e.hits, e.has_wait, bits e.max_wait) ))
+      (B.Commrec.p2p_edges boxed.B.Profdata.comm)
+  in
+  ck "p2p edges" (List.sort compare edges = List.sort compare boxed_edges);
+  let hist =
+    List.map
+      (fun (id, row, rank) -> ((data.rows.(row).vid, rank), data.coll_hits.(id)))
+      (Profdata.coll_entries data)
+  in
+  let boxed_hist =
+    List.concat_map
+      (fun (r : B.Commrec.coll_rec) ->
+        Hashtbl.fold
+          (fun rank n acc -> ((r.coll_vertex, rank), n) :: acc)
+          r.last_arrivals [])
+      (B.Commrec.coll_records boxed.B.Profdata.comm)
+  in
+  ck "collective histograms"
+    (List.sort compare hist = List.sort compare boxed_hist);
+  ck "counters"
+    (( data.total_samples, data.unattributed_samples, data.mpi_calls_seen,
+       data.records_taken, data.raw_records, bits data.elapsed,
+       bits data.effective_nprocs )
+    = ( boxed.total_samples, boxed.unattributed_samples,
+        boxed.mpi_calls_seen, boxed.records_taken,
+        boxed.comm.B.Commrec.raw_records, bits boxed.elapsed,
+        bits boxed.effective_nprocs ));
+  ck "icalls"
+    (List.sort compare
+       (List.map
+          (fun (r : Profdata.icall_resolution) -> (r.callsite_vertex, r.target))
+          (Profdata.icall_resolutions data))
+    = List.sort compare
+        (List.map
+           (fun (r : B.Profdata.icall_resolution) -> (r.callsite_vertex, r.target))
+           (B.Profdata.icall_resolutions boxed)));
+  check_int (label ^ ": storage bytes") (B.Profdata.storage_bytes boxed)
+    (Profdata.storage_bytes data)
+
+(* the PPG digests too, so every case also pins the freeze's replayed
+   orders (total_time, incoming lists, late-rank ties) *)
+let check_pair label (psg, data, psg_ref, boxed) =
+  check_profiles label data boxed;
+  List.iter2
+    (fun (name, r) (_, c) -> check_string (label ^ ": " ^ name) r c)
+    (component_digests (view_of_reference (Ppg_reference.build ~psg:psg_ref boxed)))
+    (component_digests (view_of_ppg (Ppg.build ~psg data)))
+
+let test_cells_registry () =
+  List.iter
+    (fun (entry : Scalana_apps.Registry.entry) ->
+      List.iter
+        (fun nprocs ->
+          check_pair
+            (Printf.sprintf "%s np=%d" entry.Scalana_apps.Registry.name nprocs)
+            (profile_pair entry ~nprocs))
+        [ 4; 16 ])
+    Scalana_apps.Registry.all
+
+let test_cells_cg_weak () =
+  check_pair "cg-weak np=1024"
+    (profile_pair (Scalana_apps.Registry.find "cg-weak") ~nprocs:1024)
+
+let test_cells_poisoned () =
+  let faults =
+    Faults.plan ~seed:11
+      [ Faults.poison_metric ~prob:0.3 `Nan; Faults.poison_metric ~prob:0.3 `Negative ]
+  in
+  List.iter
+    (fun name ->
+      check_pair (name ^ " poisoned")
+        (profile_pair ~faults (Scalana_apps.Registry.find name) ~nprocs:16))
+    [ "zeusmp"; "lu"; "cg" ]
+
+let test_cells_killed () =
+  let faults = Faults.plan ~seed:3 [ Faults.kill_rank ~rank:2 ~after:1e-4 () ] in
+  List.iter
+    (fun name ->
+      check_pair (name ^ " killed rank")
+        (profile_pair ~faults (Scalana_apps.Registry.find name) ~nprocs:8))
+    [ "zeusmp"; "cg"; "mg" ]
+
+let test_cells_elastic () =
+  List.iter
+    (fun (entry : Scalana_apps.Registry.entry) ->
+      check_pair (entry.Scalana_apps.Registry.name ^ " elastic")
+        (profile_pair
+           ~elastic:(Option.get entry.Scalana_apps.Registry.elastic_plan)
+           entry ~nprocs:8))
+    Scalana_apps.Registry.elastic
+
+(* --- replayed fold orders ---
+
+   The freeze replays the orders the boxed hash tables folded in: each
+   rank's time sum (bucket order, newest insertion first on a collision,
+   across table resizes), the incoming-edge lists and the late-rank
+   ties.  Random workloads go into both stores, with random times (whose
+   float sums depend on the order), enough entries to resize every
+   table and sparse histograms full of ties; every digest must match. *)
+let order_workload ~seed ~nprocs ~nvids ~ops =
+  let st = Random.State.make [| seed |] in
+  let int n = Random.State.int st n in
+  let data = Profdata.create ~nprocs and boxed = B.Profdata.create ~nprocs in
+  (* a record's own cell always reports, as in the profiler *)
+  let wait rank vid =
+    Profdata.add_wait data ~row:(Profdata.row_index data ~vertex:vid) ~rank
+      ~calls:1 1e-3;
+    B.Perfvec.add_wait (B.Profdata.vector boxed ~rank ~vertex:vid) ~wait:1e-3
+  in
+  for _ = 1 to ops do
+    let rank = int nprocs and vid = int nvids in
+    match int 4 with
+    | 0 | 1 ->
+        let time = Random.State.float st 1.0 in
+        Profdata.add_sampled data ~row:(Profdata.row_index data ~vertex:vid)
+          ~rank ~time ~samples:1;
+        B.Perfvec.add_sampled (B.Profdata.vector boxed ~rank ~vertex:vid) ~time
+          ~samples:1 ~pmu:Pmu.zero
+    | 2 ->
+        let send_rank = int nprocs and send_vid = int nvids in
+        let tag = int 3 and bytes = 8 * int 3 in
+        let wait_seconds = float_of_int (int 3) *. 1e-3 in
+        wait rank vid;
+        Profdata.record_p2p data ~recv_row:(Profdata.row_index data ~vertex:vid)
+          ~recv_rank:rank ~send_row:(Profdata.row_index data ~vertex:send_vid)
+          ~send_rank ~tag ~bytes ~waited:(wait_seconds > 0.0) ~wait_seconds;
+        B.Commrec.record_p2p boxed.B.Profdata.comm
+          ~key:
+            {
+              B.Commrec.recv_rank = rank;
+              recv_vertex = vid;
+              send_rank;
+              send_vertex = send_vid;
+              tag;
+              bytes;
+            }
+          ~waited:(wait_seconds > 0.0) ~wait_seconds
+    | _ ->
+        let last = int nprocs in
+        wait rank vid;
+        Profdata.record_coll data ~row:(Profdata.row_index data ~vertex:vid)
+          ~last_arrival_rank:last;
+        B.Commrec.record_coll boxed.B.Profdata.comm ~vertex:vid
+          ~last_arrival_rank:last
+  done;
+  (data, boxed)
+
+let test_fold_orders () =
+  let psg = fst (profile (chain_program ())) in
+  List.iter
+    (fun (nprocs, nvids, ops) ->
+      for seed = 1 to 10 do
+        let data, boxed = order_workload ~seed ~nprocs ~nvids ~ops in
+        check_pair
+          (Printf.sprintf "seed %d np=%d vids=%d" seed nprocs nvids)
+          (psg, data, psg, boxed)
+      done)
+    [ (3, 300, 3000); (40, 6, 4000); (64, 40, 1500) ]
 
 (* --- seeded properties for the columnar store --- *)
 
@@ -352,13 +581,12 @@ let build_sparse cells =
   let data = Profdata.create ~nprocs:prop_nprocs in
   List.iter
     (fun c ->
-      let v = Profdata.vector data ~rank:c.c_rank ~vertex:c.c_vid in
-      Perfvec.add_sampled v ~time:c.c_time ~samples:1 ~pmu:Pmu.zero;
-      Perfvec.add_wait v ~wait:c.c_wait)
+      let row = Profdata.row_index data ~vertex:c.c_vid in
+      Profdata.add_sampled data ~row ~rank:c.c_rank ~time:c.c_time ~samples:1;
+      Profdata.add_wait data ~row ~rank:c.c_rank ~calls:1 c.c_wait)
     cells;
   (data, Ppg.build ~psg:(Lazy.force prop_psg) data)
 
-let bits = Int64.bits_of_float
 let same_float a b = bits a = bits b
 
 (* Expected cell values: accumulated sums per (rank, vid), as add_sampled
@@ -458,6 +686,13 @@ let () =
         [
           Alcotest.test_case "registry x scales x clean+faulted" `Quick
             test_differential_registry;
+          Alcotest.test_case "cells: registry np 4/16" `Quick test_cells_registry;
+          Alcotest.test_case "cells: cg-weak np=1024" `Quick test_cells_cg_weak;
+          Alcotest.test_case "cells: poisoned NaN/negative" `Quick
+            test_cells_poisoned;
+          Alcotest.test_case "cells: killed rank" `Quick test_cells_killed;
+          Alcotest.test_case "cells: elastic sessions" `Quick test_cells_elastic;
+          Alcotest.test_case "replayed fold orders" `Quick test_fold_orders;
         ] );
       ( "columnar-props",
         [

@@ -1,4 +1,4 @@
-(* Tests for the ScalAna profiling layer: performance vectors, comm-record
+(* Tests for the ScalAna profiling layer: the profile columns, comm-record
    compression, sampling attribution and indirect-call resolution. *)
 
 open Scalana_mlang
@@ -23,64 +23,87 @@ let profiled_run ?config ?cost ?(nprocs = 4) prog =
   let result = Exec.run ~cfg prog in
   (contraction, index, Profiler.data profiler, result)
 
-(* --- perfvec --- *)
+(* --- profile columns --- *)
 
 let test_perfvec () =
-  let v = Perfvec.create () in
-  Perfvec.add_sampled v ~time:0.5 ~samples:2 ~pmu:Pmu.zero;
-  Perfvec.add_sampled v ~time:0.25 ~samples:1 ~pmu:Pmu.zero;
-  Perfvec.add_wait v ~wait:0.1;
-  check_float "time" 0.75 v.Perfvec.time;
-  check_int "samples" 3 v.Perfvec.samples;
-  check_float "wait" 0.1 v.Perfvec.wait;
-  check_int "calls" 1 v.Perfvec.calls;
-  let dst = Perfvec.create () in
-  Perfvec.merge_into ~dst v;
-  Perfvec.merge_into ~dst v;
-  check_float "merged time" 1.5 dst.Perfvec.time;
-  check_int "merged samples" 6 dst.Perfvec.samples
+  let data = Profdata.create ~nprocs:2 in
+  let row = Profdata.row_index data ~vertex:3 in
+  Profdata.add_sampled data ~row ~rank:1 ~time:0.5 ~samples:2;
+  Profdata.add_sampled data ~row ~rank:1 ~time:0.25 ~samples:1;
+  Profdata.add_wait data ~row ~rank:1 ~calls:1 0.1;
+  let r = data.rows.(row) in
+  check_float "time" 0.75 r.time.(1);
+  check_int "samples" 3 r.samples.(1);
+  check_float "wait" 0.1 r.wait.(1);
+  check_int "calls" 1 r.calls.(1);
+  check_int "rank 0 untouched" 0 r.seq.(0);
+  check_int "no counter columns without counters" 0 (Array.length r.tot_ins);
+  let dst = Profdata.create ~nprocs:4 in
+  Profdata.merge_renumbered ~into:dst ~map:(fun l -> l + 2) data;
+  Profdata.merge_renumbered ~into:dst ~map:(fun l -> l + 2) data;
+  match Profdata.find_row dst ~vertex:3 with
+  | Some d ->
+      check_float "merged time" 1.5 d.time.(3);
+      check_int "merged samples" 6 d.samples.(3);
+      check_int "renumbered ranks only" 0 (d.seq.(0) + d.seq.(1) + d.seq.(2))
+  | None -> Alcotest.fail "merged row missing"
 
-(* --- commrec --- *)
+(* --- dependence records --- *)
+
+let record data ~tag ~waited ~wait_seconds =
+  Profdata.record_p2p data ~recv_row:1 ~recv_rank:1 ~send_row:0 ~send_rank:0
+    ~tag ~bytes:1024 ~waited ~wait_seconds
+
+let comm_data () =
+  let data = Profdata.create ~nprocs:4 in
+  ignore (Profdata.row_index data ~vertex:9);
+  ignore (Profdata.row_index data ~vertex:10);
+  data
 
 let test_commrec_compression () =
-  let t = Commrec.create () in
-  let key =
-    {
-      Commrec.recv_rank = 1;
-      recv_vertex = 10;
-      send_rank = 0;
-      send_vertex = 9;
-      tag = 3;
-      bytes = 1024;
-    }
-  in
+  let t = comm_data () in
   for _ = 1 to 100 do
-    Commrec.record_p2p t ~key ~waited:false ~wait_seconds:0.0
+    record t ~tag:3 ~waited:false ~wait_seconds:0.0
   done;
-  Commrec.record_p2p t ~key ~waited:true ~wait_seconds:0.5;
-  check_int "one edge" 1 (Commrec.n_p2p t);
-  let e = List.hd (Commrec.p2p_edges t) in
-  check_int "hits" 101 e.Commrec.hits;
-  check_bool "wait sticky" true e.Commrec.has_wait;
-  check_float "max wait" 0.5 e.Commrec.max_wait;
+  record t ~tag:3 ~waited:true ~wait_seconds:0.5;
+  check_int "one edge" 1 (Profdata.n_p2p t);
+  check_int "hits" 101 t.p2p_hits.(0);
+  check_bool "wait sticky" true (t.p2p_waited.(0) = 1);
+  check_float "max wait" 0.5 t.p2p_max_wait.(0);
   (* compression ratio accounting *)
   check_bool "compressed smaller" true
-    (Commrec.storage_bytes t < Commrec.uncompressed_bytes t);
+    (Profdata.comm_bytes t < Profdata.uncompressed_comm_bytes t);
   (* distinct keys create distinct edges *)
-  Commrec.record_p2p t
-    ~key:{ key with Commrec.tag = 4 }
-    ~waited:false ~wait_seconds:0.0;
-  check_int "two edges" 2 (Commrec.n_p2p t)
+  record t ~tag:4 ~waited:false ~wait_seconds:0.0;
+  check_int "two edges" 2 (Profdata.n_p2p t)
+
+(* The hot path of a repeated dependence: a hash, a probe and counter
+   bumps in flat arrays, no allocation. *)
+let test_commrec_repeat_allocates_nothing () =
+  let t = comm_data () in
+  record t ~tag:3 ~waited:false ~wait_seconds:0.0;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    record t ~tag:3 ~waited:true ~wait_seconds:0.25
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_bool (Printf.sprintf "%.0f words for 10k repeats" words) true (words < 100.0);
+  check_int "hits" 10_001 t.p2p_hits.(0)
 
 let test_commrec_collectives () =
-  let t = Commrec.create () in
-  Commrec.record_coll t ~vertex:5 ~last_arrival_rank:2;
-  Commrec.record_coll t ~vertex:5 ~last_arrival_rank:2;
-  Commrec.record_coll t ~vertex:5 ~last_arrival_rank:7;
-  check_int "one record" 1 (Commrec.n_coll t);
-  let r = List.hd (Commrec.coll_records t) in
-  check_int "instances" 3 r.Commrec.instances;
-  check_int "dominant late rank" 2 (Commrec.dominant_late_rank r)
+  let t = Profdata.create ~nprocs:8 in
+  let row = Profdata.row_index t ~vertex:5 in
+  Profdata.add_wait t ~row ~rank:0 ~calls:1 0.0;
+  Profdata.record_coll t ~row ~last_arrival_rank:2;
+  Profdata.record_coll t ~row ~last_arrival_rank:2;
+  Profdata.record_coll t ~row ~last_arrival_rank:7;
+  check_int "one record" 1 (Profdata.n_coll t);
+  check_int "instances" 3 (Array.fold_left ( + ) 0 (Array.sub t.coll_hits 0 2));
+  let _, _, contraction, _ = static_of (ring_program ()) in
+  let ppg = Scalana_ppg.Ppg.build ~psg:contraction.Contract.psg t in
+  Alcotest.(check (option int))
+    "dominant late rank" (Some 2)
+    (Scalana_ppg.Ppg.coll_late_rank ppg ~vertex:5)
 
 (* --- sampling --- *)
 
@@ -109,15 +132,12 @@ let test_attribution_targets_hot_vertex () =
            | _ -> false)
          contraction.Contract.psg)
   in
-  let total =
-    Hashtbl.fold
-      (fun _ (v : Perfvec.t) acc -> acc +. v.Perfvec.time)
-      data.Profdata.vectors.(0) 0.0
-  in
-  match Profdata.vector_opt data ~rank:0 ~vertex:work_vertex.Vertex.id with
-  | Some v ->
-      check_bool "hot vertex dominates" true (v.Perfvec.time > 0.6 *. total)
-  | None -> Alcotest.fail "work vertex has no data"
+  let total = ref 0.0 in
+  Array.iter (fun (r : Profdata.row) -> total := !total +. Profdata.cell r.time 0) data.rows;
+  match Profdata.find_row data ~vertex:work_vertex.Vertex.id with
+  | Some r when r.seq.(0) > 0 ->
+      check_bool "hot vertex dominates" true (r.time.(0) > 0.6 *. !total)
+  | _ -> Alcotest.fail "work vertex has no data"
 
 let test_wait_recorded_on_mpi_vertex () =
   let prog =
@@ -137,28 +157,26 @@ let test_wait_recorded_on_mpi_vertex () =
     List.hd (Psg.find_all Vertex.is_mpi contraction.Contract.psg)
   in
   (* non-delayed ranks accumulated wait at the barrier *)
-  (match Profdata.vector_opt data ~rank:1 ~vertex:barrier_vertex.Vertex.id with
-  | Some v ->
-      check_bool "rank1 waited" true (v.Perfvec.wait > 0.001);
-      check_int "calls counted" 1 v.Perfvec.calls
-  | None -> Alcotest.fail "barrier vector missing on rank 1");
-  match Profdata.vector_opt data ~rank:0 ~vertex:barrier_vertex.Vertex.id with
-  | Some v -> check_bool "rank0 did not wait" true (v.Perfvec.wait < 0.001)
-  | None -> ()
+  match Profdata.find_row data ~vertex:barrier_vertex.Vertex.id with
+  | Some r when r.seq.(1) > 0 ->
+      check_bool "rank1 waited" true (r.wait.(1) > 0.001);
+      check_int "calls counted" 1 r.calls.(1);
+      check_bool "rank0 did not wait" true (r.wait.(0) < 0.001)
+  | _ -> Alcotest.fail "barrier vector missing on rank 1"
 
 let test_record_prob_zero () =
   let prog = ring_program ~niter:10 () in
   let config = { Profiler.default_config with record_prob = 0.0 } in
   let _, _, data, _ = profiled_run ~config ~nprocs:4 prog in
-  check_int "no comm records" 0 (Commrec.n_p2p data.Profdata.comm + Commrec.n_coll data.Profdata.comm)
+  check_int "no comm records" 0 (Profdata.n_p2p data + Profdata.n_coll data)
 
 let test_record_prob_one_dependence () =
   let prog = ring_program ~niter:10 () in
   let config = { Profiler.default_config with record_prob = 1.0 } in
   let _, _, data, _ = profiled_run ~config ~nprocs:4 prog in
   (* every rank's sendrecv edge to its left neighbour is recorded *)
-  check_bool "p2p edges" true (Commrec.n_p2p data.Profdata.comm >= 4);
-  check_int "one collective vertex" 1 (Commrec.n_coll data.Profdata.comm)
+  check_bool "p2p edges" true (Profdata.n_p2p data >= 4);
+  check_int "one collective vertex" 1 (Profdata.n_coll data)
 
 let test_icall_resolution () =
   let prog = recursion_program () in
@@ -193,11 +211,13 @@ let test_across_ranks () =
            | _ -> false)
          contraction.Contract.psg)
   in
-  let per_rank = Profdata.across_ranks data ~vertex:work_vertex.Vertex.id in
-  check_int "one slot per rank" 4 (Array.length per_rank);
-  Array.iter
-    (fun v -> check_bool "every rank sampled the hot loop" true (v <> None))
-    per_rank
+  match Profdata.find_row data ~vertex:work_vertex.Vertex.id with
+  | Some r ->
+      check_int "one slot per rank" 4 (Array.length r.seq);
+      Array.iter
+        (fun s -> check_bool "every rank sampled the hot loop" true (s > 0))
+        r.seq
+  | None -> Alcotest.fail "work vertex has no data"
 
 (* --- timeline --- *)
 
@@ -422,11 +442,9 @@ let icall_program () =
   Builder.program b
 
 let samples_on (data : Profdata.t) vertex =
-  Array.fold_left
-    (fun acc v ->
-      match v with Some (v : Perfvec.t) -> acc + v.samples | None -> acc)
-    0
-    (Profdata.across_ranks data ~vertex)
+  match Profdata.find_row data ~vertex with
+  | Some r -> Array.fold_left ( + ) 0 r.samples
+  | None -> 0
 
 (* A site memo lives for one run: the first run's refinement splices
    alpha's subtree into the index, and the second run must attribute
@@ -459,6 +477,39 @@ let test_memo_per_run () =
   check_bool "second run samples the spliced vertex" true
     (samples_on second.data (List.hd alpha).Vertex.id > 0)
 
+(* A sampling frequency that is not a finite positive rate would step
+   the tick clock backwards (never terminating) or record no samples at
+   all: the profiler refuses it, and scalana-prof exits 2 naming the
+   flag. *)
+let test_freq_rejected () =
+  let _, _, _, index = static_of (ring_program ()) in
+  List.iter
+    (fun freq ->
+      match
+        Profiler.create ~config:{ Profiler.default_config with freq } ~index
+          ~nprocs:2 ()
+      with
+      | _ -> Alcotest.failf "freq=%g accepted" freq
+      | exception Invalid_argument msg ->
+          check_bool ("message names --freq: " ^ msg) true
+            (try
+               ignore (Str.search_forward (Str.regexp_string "--freq") msg 0);
+               true
+             with Not_found -> false))
+    [ -1.0; 0.0; Float.nan; Float.infinity ];
+  let dir = Filename.temp_file "scalana" "" in
+  Sys.remove dir;
+  Scalana.Artifact.save_static dir
+    (Scalana.Static.analyze ((Scalana_apps.Registry.find "cg").make ()));
+  List.iter
+    (fun freq ->
+      check_int ("scalana-prof --freq=" ^ freq ^ " exits 2") 2
+        (Sys.command
+           (Printf.sprintf
+              "timeout 30 ../bin/scalana_prof.exe -s %s -n 2 --freq=%s 2>/dev/null"
+              (Filename.quote dir) freq)))
+    [ "-1"; "0"; "nan" ]
+
 let () =
   Alcotest.run "profile"
     [
@@ -466,6 +517,8 @@ let () =
       ( "commrec",
         [
           Alcotest.test_case "p2p compression" `Quick test_commrec_compression;
+          Alcotest.test_case "repeat allocates nothing" `Quick
+            test_commrec_repeat_allocates_nothing;
           Alcotest.test_case "collective histogram" `Quick
             test_commrec_collectives;
         ] );
@@ -490,6 +543,7 @@ let () =
           Alcotest.test_case "across ranks" `Quick test_across_ranks;
           Alcotest.test_case "overhead charged" `Quick
             test_profiler_overhead_positive;
+          Alcotest.test_case "bad --freq rejected" `Quick test_freq_rejected;
         ] );
       ( "timeline",
         [

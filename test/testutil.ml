@@ -265,8 +265,8 @@ let per_vertex_pmu ?cost ?(nprocs = 8) ~label prog =
   in
   Array.init nprocs (fun rank ->
       match
-        Scalana_profile.Profdata.vector_opt data ~rank
+        Scalana_profile.Profdata.pmu data ~rank
           ~vertex:vertex.Scalana_psg.Vertex.id
       with
-      | Some v -> v.Scalana_profile.Perfvec.pmu
+      | Some pmu -> pmu
       | None -> Scalana_runtime.Pmu.zero)
