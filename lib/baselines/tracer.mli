@@ -1,29 +1,10 @@
-(** Tracing baseline (the Scalasca/Vampir role): logs every region with
-    peer payloads, charges per-event wrapper time, and accounts trace
-    bytes — including the sub-regions a compiler-instrumented tracer
-    would log inside coarse computation blocks. *)
+(** Tracing baseline (the Scalasca/Vampir role) as a cost model: counts
+    every region a tracer would log, with peer payloads, charges
+    per-event wrapper time, and accounts trace bytes — including the
+    sub-regions a compiler-instrumented tracer would log inside coarse
+    computation blocks.  No events are retained. *)
 
-open Scalana_mlang
 open Scalana_runtime
-
-type event_kind =
-  | Comp_region of { label : string option }
-  | Mpi_event of {
-      name : string;
-      wait : float;
-      peers : (int * Loc.t) list;
-      collective : bool;
-      last_arrival_rank : int option;
-    }
-
-type event = {
-  ev_rank : int;
-  ev_time : float;
-  ev_duration : float;
-  ev_loc : Loc.t;
-  ev_callpath : Loc.t list;
-  ev_kind : event_kind;
-}
 
 type config = {
   per_event_cost : float;
@@ -31,7 +12,6 @@ type config = {
   ins_per_region : float;
       (** instrumentation granularity: one traced sub-region per this
           many retired instructions inside a computation block *)
-  keep_limit : int;  (** events retained in memory for {!Replay} *)
 }
 
 val default_config : config
@@ -40,12 +20,5 @@ type t
 
 val create : ?config:config -> unit -> t
 val tool : t -> Instrument.t
-
-(** Retained events in chronological order of logging. *)
-val events : t -> event list
-
 val n_events : t -> int
 val storage_bytes : t -> int
-
-(** True when the retained list was capped by [keep_limit]. *)
-val truncated : t -> bool

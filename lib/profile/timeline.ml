@@ -106,7 +106,11 @@ let resolve r (ctx : Instrument.ctx) =
 
 let has_budget r = r.r_count < r.r_cfg.max_events
 
-let drop r ~rank = r.r_dropped.(rank) <- r.r_dropped.(rank) + 1
+(* A dropped event ends the rank's merge streak: a later compute interval
+   must not stretch the last recorded one across the unrecorded gap. *)
+let drop r ~rank =
+  r.r_dropped.(rank) <- r.r_dropped.(rank) + 1;
+  r.r_last.(rank) <- None
 
 let push_interval r iv =
   r.r_count <- r.r_count + 1;

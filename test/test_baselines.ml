@@ -1,49 +1,9 @@
-(* Tests for the baseline tools: the Scalasca-like tracer (with wait-state
-   replay) and the HPCToolkit-like call-path profiler. *)
+(* Tests for the baseline tools: the Scalasca-like tracer's cost model
+   and the HPCToolkit-like call-path profiler. *)
 
-open Scalana_mlang
 open Scalana_runtime
 open Scalana_baselines
 open Testutil
-
-let delayed_barrier_program ?(work = 60_000_000) () =
-  let open Expr.Infix in
-  let b = Builder.create ~file:"db.mmp" ~name:"db" () in
-  Builder.func b "main" (fun () ->
-      [
-        Builder.loop b ~label:"steps" ~var:"s" ~count:(i 5) (fun () ->
-            [
-              Builder.branch b
-                ~cond:(rank = i 0)
-                (fun () ->
-                  [
-                    Builder.comp b ~label:"slow_loop" ~flops:(i work)
-                      ~mem:(i work / i 2) ();
-                  ]);
-              Builder.comp b ~label:"balanced" ~flops:(i 1_000_000)
-                ~mem:(i 500_000) ();
-              Builder.barrier b;
-            ]);
-      ]);
-  Builder.program b
-
-let late_sender_program () =
-  let open Expr.Infix in
-  let b = Builder.create ~file:"ls.mmp" ~name:"ls" () in
-  Builder.func b "main" (fun () ->
-      [
-        Builder.branch b
-          ~cond:(rank = i 0)
-          ~else_:(fun () ->
-            [ Builder.recv b ~src:(i 0) ~tag:(i 1) ~bytes:(i 64) () ])
-          (fun () ->
-            [
-              Builder.comp b ~label:"late" ~flops:(i 50_000_000)
-                ~mem:(i 20_000_000) ();
-              Builder.send b ~dest:(i 1) ~tag:(i 1) ~bytes:(i 64) ();
-            ]);
-      ]);
-  Builder.program b
 
 (* --- tracer --- *)
 
@@ -53,16 +13,7 @@ let test_tracer_counts_and_bytes () =
   ignore (run ~nprocs:4 ~tools:[ Tracer.tool tr ] prog);
   check_bool "events logged" true (Tracer.n_events tr > 0);
   check_int "bytes = events x 40" (Tracer.n_events tr * 40)
-    (Tracer.storage_bytes tr);
-  check_bool "not truncated" true (not (Tracer.truncated tr))
-
-let test_tracer_truncation () =
-  let config = { Tracer.default_config with keep_limit = 3 } in
-  let tr = Tracer.create ~config () in
-  let prog = ring_program ~niter:5 () in
-  ignore (run ~nprocs:4 ~tools:[ Tracer.tool tr ] prog);
-  check_bool "truncated" true (Tracer.truncated tr);
-  check_int "kept only 3" 3 (List.length (Tracer.events tr))
+    (Tracer.storage_bytes tr)
 
 let test_tracer_sub_regions () =
   (* a bigger computation produces more traced sub-regions (bytes) *)
@@ -81,41 +32,6 @@ let test_tracer_overhead_charged () =
   let traced = run ~nprocs:4 ~tools:[ Tracer.tool tr ] prog in
   check_bool "tracing slows the run" true
     (traced.Exec.elapsed > bare.Exec.elapsed)
-
-(* --- replay --- *)
-
-let test_replay_late_sender () =
-  let tr = Tracer.create () in
-  ignore (run ~nprocs:2 ~tools:[ Tracer.tool tr ] (late_sender_program ()));
-  let states = Replay.analyze (Tracer.events tr) in
-  check_bool "found states" true (states <> []);
-  let top = List.hd states in
-  check_bool "late sender class" true (top.Replay.ws_class = Replay.Late_sender);
-  check_bool "wait positive" true (top.Replay.total_wait > 0.001)
-
-let test_replay_collective_wait () =
-  let tr = Tracer.create () in
-  ignore (run ~nprocs:4 ~tools:[ Tracer.tool tr ] (delayed_barrier_program ()));
-  let states = Replay.analyze (Tracer.events tr) in
-  let colls =
-    List.filter
-      (fun ws -> ws.Replay.ws_class = Replay.Wait_at_collective)
-      states
-  in
-  check_bool "collective waits found" true (colls <> []);
-  let ws = List.hd colls in
-  (* three of four ranks wait for rank 0 *)
-  check_int "waiting ranks" 3 (List.length ws.Replay.ranks)
-
-let test_replay_quiet_program () =
-  let tr = Tracer.create () in
-  ignore (run ~nprocs:4 ~tools:[ Tracer.tool tr ] (ring_program ~niter:3 ()));
-  let states = Replay.report (Tracer.events tr) ~top:5 in
-  (* balanced ring: nothing waits appreciably *)
-  List.iter
-    (fun ws ->
-      check_bool "small waits only" true (ws.Replay.total_wait < 0.05))
-    states
 
 (* --- cct / callprof --- *)
 
@@ -184,40 +100,6 @@ let test_overhead_and_storage_ordering () =
   check_bool "scalana cheapest" true (sa.overhead_pct <= cp.overhead_pct)
 
 
-(* --- trace files --- *)
-
-let test_trace_io_roundtrip () =
-  let tr = Tracer.create () in
-  ignore (run ~nprocs:4 ~tools:[ Tracer.tool tr ] (delayed_barrier_program ()));
-  let events = Tracer.events tr in
-  let path = Filename.temp_file "scalana" ".trace" in
-  Trace_io.save ~path events;
-  let loaded = Trace_io.load ~path in
-  check_int "same count" (List.length events) (List.length loaded);
-  (* replay gives identical wait states on the reloaded trace *)
-  let ws1 = Replay.analyze events and ws2 = Replay.analyze loaded in
-  check_int "same wait states" (List.length ws1) (List.length ws2);
-  List.iter2
-    (fun a b ->
-      check_string "same loc" (Loc.to_string a.Replay.ws_loc)
-        (Loc.to_string b.Replay.ws_loc);
-      Testutil.close "same wait" a.Replay.total_wait b.Replay.total_wait)
-    ws1 ws2;
-  (* and the critical path agrees too *)
-  let cp1 = Scalana_detect.Critpath.analyze events in
-  let cp2 = Scalana_detect.Critpath.analyze loaded in
-  Testutil.close ~eps:1e-6 "same critical path" cp1.Scalana_detect.Critpath.total
-    cp2.Scalana_detect.Critpath.total
-
-let test_trace_io_malformed () =
-  let path = Filename.temp_file "scalana" ".trace" in
-  let oc = open_out path in
-  output_string oc "C\t0\tnot_a_float\t0.1\tx:1\t-\tfoo\n";
-  close_out oc;
-  match Trace_io.load ~path with
-  | _ -> Alcotest.fail "expected Malformed"
-  | exception Trace_io.Malformed { line_no = 1; _ } -> ()
-
 let () =
   Alcotest.run "baselines"
     [
@@ -225,17 +107,9 @@ let () =
         [
           Alcotest.test_case "counts and bytes" `Quick
             test_tracer_counts_and_bytes;
-          Alcotest.test_case "truncation" `Quick test_tracer_truncation;
           Alcotest.test_case "sub-region volume" `Quick test_tracer_sub_regions;
           Alcotest.test_case "overhead charged" `Quick
             test_tracer_overhead_charged;
-        ] );
-      ( "replay",
-        [
-          Alcotest.test_case "late sender" `Quick test_replay_late_sender;
-          Alcotest.test_case "wait at collective" `Quick
-            test_replay_collective_wait;
-          Alcotest.test_case "quiet program" `Quick test_replay_quiet_program;
         ] );
       ( "callprof",
         [
@@ -245,11 +119,6 @@ let () =
             test_callprof_finds_bottleneck_points;
           Alcotest.test_case "overhead charged" `Quick
             test_callprof_overhead_charged;
-        ] );
-      ( "trace-io",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_trace_io_roundtrip;
-          Alcotest.test_case "malformed input" `Quick test_trace_io_malformed;
         ] );
       ( "comparison",
         [

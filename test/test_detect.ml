@@ -392,88 +392,73 @@ let test_follow_def_use_changes_step () =
 
 (* --- critical-path extension --- *)
 
-let traced_run ?(nprocs = 4) prog =
-  let tr = Scalana_baselines.Tracer.create () in
-  let cfg =
-    Scalana_runtime.Exec.config ~nprocs
-      ~tools:[ Scalana_baselines.Tracer.tool tr ] ()
-  in
-  let r = Scalana_runtime.Exec.run ~cfg prog in
-  (Scalana_baselines.Tracer.events tr, r)
+let critpath ?config ?nprocs ?cost prog =
+  let static, tl, r = recorded_timeline ?config ?nprocs ?cost prog in
+  (Critpath.analyze ~psg:(Scalana.Static.psg static) tl, r)
 
 let test_critpath_planted_loop () =
   (* rank 0 computes a long loop before every barrier: the loop must
      dominate the critical path even though it runs on one rank *)
-  let prog =
-    let open Scalana_mlang in
-    let open Expr.Infix in
-    let b = Builder.create ~file:"cp.mmp" ~name:"cp" () in
-    Builder.func b "main" (fun () ->
-        [
-          Builder.loop b ~var:"s" ~count:(i 5) (fun () ->
-              [
-                Builder.branch b ~cond:(rank = i 0) (fun () ->
-                    [
-                      Builder.comp b ~label:"slow_loop" ~flops:(i 60_000_000)
-                        ~mem:(i 30_000_000) ();
-                    ]);
-                Builder.comp b ~label:"balanced" ~flops:(i 1_000_000)
-                  ~mem:(i 500_000) ();
-                Builder.barrier b;
-              ]);
-        ]);
-    Builder.program b
-  in
-  let events, r = traced_run prog in
-  let cp = Critpath.analyze events in
-  (* the chain covers most of the run (elapsed includes tracing
-     overhead, which is not on the chain) *)
-  check_bool "chain covers the run" true (cp.Critpath.total > 0.5 *. r.elapsed);
+  let cp, r = critpath (delayed_barrier_program ()) in
+  check_bool "chain covers the run" true (cp.Critpath.total > 0.9 *. r.elapsed);
+  check_bool "complete" false cp.Critpath.partial;
   match Critpath.top ~n:1 cp with
   | [ (loc, seconds) ] ->
       check_bool "slow loop tops the chain" true
-        (try
-           ignore (Str.search_forward (Str.regexp_string "slow_loop") loc 0);
-           true
-         with Not_found -> false);
+        (String.starts_with ~prefix:"slow_loop@" loc);
       check_bool "dominant share" true (seconds > 0.8 *. cp.Critpath.total)
   | _ -> Alcotest.fail "no top location"
 
 let test_critpath_empty_and_balanced () =
-  let cp = Critpath.analyze [] in
-  check_bool "empty trace" true (cp.Critpath.total = 0.0 && cp.segments = []);
-  (* a balanced ring: the chain is roughly one rank's compute time *)
   let prog = ring_program ~niter:10 ~work:2_000_000 () in
-  let events, r = traced_run prog in
-  let cp = Critpath.analyze events in
+  let static = Scalana.Static.analyze prog in
+  let empty =
+    {
+      Scalana_profile.Timeline.nprocs = 4;
+      elapsed = 0.0;
+      intervals = [||];
+      messages = [||];
+      blocked = Array.make 4 0.0;
+      dropped = Array.make 4 0;
+      merged = 0;
+    }
+  in
+  let cp = Critpath.analyze ~psg:(Scalana.Static.psg static) empty in
+  check_bool "empty timeline" true
+    (cp.Critpath.total = 0.0 && cp.segments = [] && not cp.partial);
+  (* a balanced ring: the chain is roughly one rank's compute time *)
+  let cp, r = critpath prog in
   check_bool "chain within elapsed" true
     (cp.Critpath.total <= r.elapsed *. 1.01);
   check_bool "chain covers most of elapsed" true
     (cp.Critpath.total > 0.5 *. r.elapsed)
 
+let zeusmp_critpath ?config () =
+  let entry = Scalana_apps.Registry.find "zeusmp" in
+  critpath ?config ~nprocs:8 ~cost:entry.cost (entry.make ())
+
 let test_critpath_agrees_with_backtracking () =
   (* zeus-mp: the bval updates must appear on the critical path, the
      same code backtracking blames *)
-  let entry = Scalana_apps.Registry.find "zeusmp" in
-  let tr = Scalana_baselines.Tracer.create () in
-  let cfg =
-    Scalana_runtime.Exec.config ~nprocs:8 ~cost:entry.cost
-      ~tools:[ Scalana_baselines.Tracer.tool tr ] ()
-  in
-  ignore (Scalana_runtime.Exec.run ~cfg (entry.make ()));
-  let cp = Critpath.analyze (Scalana_baselines.Tracer.events tr) in
+  let cp, _ = zeusmp_critpath () in
   let on_chain =
     List.exists
-      (fun (loc, s) ->
-        s > 0.0
-        &&
-        try
-          ignore (Str.search_forward (Str.regexp_string "bval") loc 0);
-          true
-        with Not_found -> false)
+      (fun (loc, s) -> s > 0.0 && String.starts_with ~prefix:"bval" loc)
       cp.Critpath.by_location
   in
-  check_bool "bval on the chain" true on_chain
+  check_bool "bval on the chain" true on_chain;
+  check_bool "complete" false cp.Critpath.partial
+
+let test_critpath_capped_is_partial () =
+  (* a capped recorder drops most of the run: the short chain it leaves
+     must say so *)
+  let full, _ = zeusmp_critpath () in
+  let capped, _ =
+    zeusmp_critpath ~config:{ Scalana_profile.Timeline.max_events = 500 } ()
+  in
+  check_bool "capped chain flagged" true capped.Critpath.partial;
+  check_bool "capped chain is shorter" true
+    (capped.Critpath.total < full.Critpath.total)
 
 (* --- seeded properties through the stdlib Prop harness --- *)
 
@@ -579,5 +564,7 @@ let () =
             test_critpath_empty_and_balanced;
           Alcotest.test_case "agrees with backtracking" `Quick
             test_critpath_agrees_with_backtracking;
+          Alcotest.test_case "capped timeline is partial" `Quick
+            test_critpath_capped_is_partial;
         ] );
     ]

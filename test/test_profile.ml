@@ -288,7 +288,17 @@ let test_timeline_truncation () =
   (* blocked-time accounting survives truncation untouched *)
   check_bool "some blocked time" true (Timeline.total_blocked full > 0.0);
   check_float "blocked preserved" (Timeline.total_blocked full)
-    (Timeline.total_blocked capped)
+    (Timeline.total_blocked capped);
+  (* a compute interval recorded before the cap never absorbs the
+     compute that follows a dropped event *)
+  let longest (tl : Timeline.t) =
+    Array.fold_left
+      (fun acc (iv : Timeline.interval) ->
+        Float.max acc (iv.iv_stop -. iv.iv_start))
+      0.0 tl.intervals
+  in
+  check_bool "no interval spans dropped events" true
+    (longest capped <= longest full)
 
 let test_timeline_zero_overhead () =
   (* the recorder is an idealized observer: identical clocks either way *)

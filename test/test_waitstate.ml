@@ -301,6 +301,36 @@ let test_cg_transpose () =
         (has_finish_on m.T.msg_dst))
     tl.T.messages
 
+(* The classic late-sender pattern, recorded from a real run: rank 1
+   blocks in its receive while rank 0 computes before sending. *)
+let test_recorded_late_sender () =
+  let _, tl, _ = recorded_timeline ~nprocs:2 (late_sender_program ()) in
+  let ws = W.analyze tl in
+  match ws.W.entries with
+  | e :: _ ->
+      check_bool "top entry is late-sender" true (e.W.ws_class = W.Late_sender);
+      check_bool "rank 0 blamed" true (List.map fst e.W.ws_culprits = [ 0 ]);
+      check_bool "waits > 1 ms" true (e.W.ws_time > 0.001)
+  | [] -> Alcotest.fail "no wait-state entries"
+
+(* Rank 0's slow loop before every barrier: the three other ranks wait
+   at the collective, and the imbalance is charged to rank 0. *)
+let test_recorded_delayed_barrier () =
+  let _, tl, _ = recorded_timeline ~nprocs:4 (delayed_barrier_program ()) in
+  let ws = W.analyze tl in
+  match
+    List.find_opt
+      (fun e -> e.W.ws_class = W.Collective_imbalance)
+      ws.W.entries
+  with
+  | Some e ->
+      check_bool "rank 0 blamed" true (List.map fst e.W.ws_culprits = [ 0 ]);
+      let waiting =
+        Array.to_list ws.W.rank_blocked |> List.filter (fun b -> b > 0.001)
+      in
+      check_int "three ranks wait" 3 (List.length waiting)
+  | None -> Alcotest.fail "no collective-imbalance entry"
+
 let () =
   Alcotest.run "waitstate"
     [
@@ -321,5 +351,12 @@ let () =
           Prop.test ~count:200 "attributed <= blocked per rank" stream_arb
             prop_attributed_bounded;
         ] );
-      ( "end-to-end", [ Alcotest.test_case "cg transpose" `Quick test_cg_transpose ] );
+      ( "end-to-end",
+        [
+          Alcotest.test_case "cg transpose" `Quick test_cg_transpose;
+          Alcotest.test_case "recorded late sender" `Quick
+            test_recorded_late_sender;
+          Alcotest.test_case "recorded delayed barrier" `Quick
+            test_recorded_delayed_barrier;
+        ] );
     ]

@@ -33,6 +33,48 @@ let ring_program ?(niter = 10) ?(work = 100_000) () =
       ]);
   Builder.program b
 
+(* Rank 0 computes a long loop before every barrier: the other ranks
+   wait for it at the collective. *)
+let delayed_barrier_program ?(work = 60_000_000) () =
+  let open Expr.Infix in
+  let b = Builder.create ~file:"db.mmp" ~name:"db" () in
+  Builder.func b "main" (fun () ->
+      [
+        Builder.loop b ~label:"steps" ~var:"s" ~count:(i 5) (fun () ->
+            [
+              Builder.branch b
+                ~cond:(rank = i 0)
+                (fun () ->
+                  [
+                    Builder.comp b ~label:"slow_loop" ~flops:(i work)
+                      ~mem:(i work / i 2) ();
+                  ]);
+              Builder.comp b ~label:"balanced" ~flops:(i 1_000_000)
+                ~mem:(i 500_000) ();
+              Builder.barrier b;
+            ]);
+      ]);
+  Builder.program b
+
+(* Rank 1 blocks in a receive while rank 0 computes before sending. *)
+let late_sender_program () =
+  let open Expr.Infix in
+  let b = Builder.create ~file:"ls.mmp" ~name:"ls" () in
+  Builder.func b "main" (fun () ->
+      [
+        Builder.branch b
+          ~cond:(rank = i 0)
+          ~else_:(fun () ->
+            [ Builder.recv b ~src:(i 0) ~tag:(i 1) ~bytes:(i 64) () ])
+          (fun () ->
+            [
+              Builder.comp b ~label:"late" ~flops:(i 50_000_000)
+                ~mem:(i 20_000_000) ();
+              Builder.send b ~dest:(i 1) ~tag:(i 1) ~bytes:(i 64) ();
+            ]);
+      ]);
+  Builder.program b
+
 (* Functions, a branch, nested loops, an MPI pair — the Fig. 3 example. *)
 let fig3_program () =
   let open Expr.Infix in
@@ -90,6 +132,18 @@ let run ?(nprocs = 4) ?inject ?cost ?tools program =
     Scalana_runtime.Exec.config ~nprocs ?inject ?cost ?tools ()
   in
   Scalana_runtime.Exec.run ~cfg program
+
+(* Run [program] with the Timeline recorder attached alone: it charges
+   no overhead, so the timeline carries the unperturbed clocks. *)
+let recorded_timeline ?config ?(nprocs = 4) ?cost program =
+  let static = Scalana.Static.analyze program in
+  let recorder =
+    Scalana_profile.Timeline.create ?config ~index:static.index ~nprocs ()
+  in
+  let r =
+    run ~nprocs ?cost ~tools:[ Scalana_profile.Timeline.tool recorder ] program
+  in
+  (static, Scalana_profile.Timeline.capture recorder, r)
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
