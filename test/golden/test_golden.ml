@@ -47,6 +47,8 @@ let normalize_detect_cost html =
       while !j < n && html.[!j] <> 's' do incr j done;
       String.sub html 0 (i + m) ^ "0.000" ^ String.sub html !j (n - !j)
 
+let html p = print_string (normalize_detect_cost (Scalana.Htmlreport.render p))
+
 let () =
   match Sys.argv with
   | [| _; name |] -> print_string (report name)
@@ -55,12 +57,13 @@ let () =
   | [| _; name; "--static-crosscheck" |] ->
       print_string (report ~crosscheck:true name)
   | [| _; name; "--elastic" |] -> print_string (report ~elastic:true name)
-  | [| _; name; "--elastic-html" |] ->
-      print_string
-        (normalize_detect_cost
-           (Scalana.Htmlreport.render (pipeline ~elastic:true name)))
+  | [| _; name; "--html" |] -> html (pipeline name)
+  | [| _; name; "--wait-states-html" |] -> html (pipeline ~timeline:true name)
+  | [| _; name; "--crosscheck-html" |] -> html (pipeline ~crosscheck:true name)
+  | [| _; name; "--elastic-html" |] -> html (pipeline ~elastic:true name)
   | _ ->
       prerr_endline
         "usage: test_golden.exe PROGRAM [--wait-states | --static-crosscheck \
-         | --elastic | --elastic-html]";
+         | --elastic | --html | --wait-states-html | --crosscheck-html \
+         | --elastic-html]";
       exit 2
