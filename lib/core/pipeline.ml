@@ -33,6 +33,7 @@ type t = {
   history : Scalana_obs.History.entry list;
       (* prior ledger entries behind the report's trend section; []
          unless the caller loaded a ledger (--history) *)
+  model : Report.t;  (* the report, built once; both renderings read it *)
   report : string;
 }
 
@@ -86,13 +87,8 @@ let assemble_quality ~artifact_issues ~dropped_scales runs
             match r.Prof.elastic with
             | None -> ([], [], 0)
             | Some (i : Elastic.info) ->
-                ( List.concat_map
-                    (fun (rc : Elastic.recovery) -> rc.Elastic.r_left)
-                    i.Elastic.recoveries,
-                  List.concat_map
-                    (fun (rc : Elastic.recovery) -> rc.Elastic.r_joined)
-                    i.Elastic.recoveries,
-                  List.length i.Elastic.epoch_infos )
+                let left, joined = Elastic.membership_changes i in
+                (left, joined, List.length i.Elastic.epoch_infos)
           in
           Some
             {
@@ -198,13 +194,16 @@ let detect_with ?(config = Config.default) ?pool
   let phase_costs =
     if Scalana_obs.Obs.enabled () then Scalana_obs.Obs.phase_summary () else []
   in
-  let report =
+  let model, report =
     Scalana_obs.Obs.with_span "report.render" @@ fun () ->
-    Report.render ~program:static.Static.program
-      ~predicted_locs:(List.map (fun (f : Lint.finding) -> f.Lint.loc) lint)
-      ~quality ~phase_costs ~history
-      ~ppg:(snd (Crossscale.largest crossscale))
-      ~psg:(Static.psg static) analysis
+    let model =
+      Report.build ~program:static.Static.program ~lint ~quality ~phase_costs
+        ~history
+        ~ppg:(snd (Crossscale.largest crossscale))
+        ~scales:(Crossscale.scales crossscale) ~detect_seconds
+        ~psg:(Static.psg static) analysis
+    in
+    (model, Report.to_text model)
   in
   {
     static;
@@ -217,6 +216,7 @@ let detect_with ?(config = Config.default) ?pool
     phase_costs;
     timeline;
     history;
+    model;
     report;
   }
 

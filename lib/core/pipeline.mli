@@ -40,6 +40,9 @@ type t = {
       (** prior ledger entries behind the report's trend section —
           loaded by the caller (e.g. [scalana-detect --history]); [[]]
           (the default) leaves the report byte-identical *)
+  model : Scalana_detect.Report.t;
+      (** the report as typed rows, built once; [report] and
+          {!Htmlreport.render} both render it *)
   report : string;
 }
 

@@ -9,18 +9,18 @@ let show ?(snippet_context = 2) (pipeline : Pipeline.t) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf pipeline.Pipeline.report;
   Buffer.add_string buf "\n=== source view ===\n";
+  let model = pipeline.Pipeline.model in
   List.iteri
-    (fun i (c : Scalana_detect.Rootcause.cause) ->
+    (fun i (r : Scalana_detect.Report.cause_row) ->
       Buffer.add_string buf
-        (Printf.sprintf "\n[%d] %s @%s\n" (i + 1) c.cause_label
-           (Loc.to_string c.cause_loc));
+        (Printf.sprintf "\n[%d] %s @%s\n" (i + 1) r.cause.cause_label
+           (Loc.to_string r.cause.cause_loc));
       List.iter
         (fun line ->
           Buffer.add_string buf ("  " ^ line);
           Buffer.add_char buf '\n')
-        (Pretty.snippet ~context:snippet_context
-           pipeline.Pipeline.static.Static.program c.cause_loc))
-    pipeline.Pipeline.analysis.causes;
+        (Scalana_detect.Report.snippet model ~context:snippet_context r))
+    model.causes;
   Buffer.contents buf
 
 (* ASCII rank-timeline view: one row per rank over [0, elapsed], each
@@ -37,14 +37,8 @@ let rank_annotation (pipeline : Pipeline.t) ~nprocs =
   | Some (r : Prof.run) ->
       let stranded = r.Prof.result.Scalana_runtime.Exec.stranded_ranks in
       let left, joined =
-        match r.Prof.elastic with
-        | None -> ([], [])
-        | Some (i : Scalana_runtime.Elastic.info) ->
-            let module E = Scalana_runtime.Elastic in
-            ( List.concat_map (fun (rc : E.recovery) -> rc.E.r_left)
-                i.E.recoveries,
-              List.concat_map (fun (rc : E.recovery) -> rc.E.r_joined)
-                i.E.recoveries )
+        Option.fold ~none:([], [])
+          ~some:Scalana_runtime.Elastic.membership_changes r.Prof.elastic
       in
       fun rank ->
         (if List.mem rank stranded then " [stranded]" else "")
@@ -123,10 +117,3 @@ let show_timeline ?(width = 64) (pipeline : Pipeline.t) =
            (Array.length tl.T.intervals) tl.T.merged
            (Array.length tl.T.messages));
       Buffer.contents buf
-
-(* One-line summary per cause, for quick assertions and logs. *)
-let summary (pipeline : Pipeline.t) =
-  List.map
-    (fun (c : Scalana_detect.Rootcause.cause) ->
-      Printf.sprintf "%s@%s" c.cause_label (Loc.to_string c.cause_loc))
-    pipeline.Pipeline.analysis.causes

@@ -69,10 +69,3 @@ let detect ?(config = default_config) ppg =
   in
   Scalana_obs.Obs.Metrics.incr ~by:(List.length findings) "abnormal.findings";
   findings
-
-let pp_finding psg ppf f =
-  let v = Scalana_psg.Psg.vertex psg f.vertex in
-  Fmt.pf ppf "%-28s ranks=%d max=%.4fs med=%.4fs ratio=%s @%a"
-    (Scalana_psg.Vertex.label v) (List.length f.ranks) f.max_time f.median_time
-    (if f.ratio = infinity then "inf" else Printf.sprintf "%.2f" f.ratio)
-    Scalana_mlang.Loc.pp v.Scalana_psg.Vertex.loc

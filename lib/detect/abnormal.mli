@@ -19,4 +19,3 @@ val detect_vertex :
   ?config:config -> Scalana_ppg.Ppg.t -> vertex:int -> finding option
 
 val detect : ?config:config -> Scalana_ppg.Ppg.t -> finding list
-val pp_finding : Scalana_psg.Psg.t -> finding Fmt.t

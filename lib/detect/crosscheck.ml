@@ -82,46 +82,3 @@ let confirms_path t (path : Backtrack.path) =
       | Some v -> v.cv_agrees = Some true
       | None -> false)
     path
-
-(* The inline annotation on a non-scalable report row. *)
-let annotation v =
-  match (v.cv_model_slope, v.cv_agrees) with
-  | Some m, Some true ->
-      Printf.sprintf "  [predicted %s, model slope %+.2f, measured %+.2f — confirmed]"
-        v.cv_pred.Commcost.pred_label m v.cv_measured_slope
-  | Some m, Some false ->
-      Printf.sprintf "  [predicted %s, model slope %+.2f, measured %+.2f — MISMATCH]"
-        v.cv_pred.Commcost.pred_label m v.cv_measured_slope
-  | _ ->
-      Printf.sprintf "  [predicted %s, no model series]"
-        v.cv_pred.Commcost.pred_label
-
-let pp psg ppf t =
-  Fmt.pf ppf "@.-- static model cross-check (scales %s, tolerance %.2f) --@."
-    (String.concat "," (List.map string_of_int t.cx_scales))
-    t.cx_tolerance;
-  if not t.cx_exact then
-    Fmt.pf ppf "  (model approximate: walks hit unanalyzable constructs)@.";
-  let conf = List.length (confirmed t) in
-  let mis = mismatches t in
-  let unmodeled =
-    List.length (List.filter (fun v -> v.cv_agrees = None) t.cx_verdicts)
-  in
-  Fmt.pf ppf "  %d prediction%s checked: %d confirmed, %d mismatched, %d without model@."
-    (List.length t.cx_verdicts)
-    (if List.length t.cx_verdicts = 1 then "" else "s")
-    conf (List.length mis) unmodeled;
-  if mis <> [] then begin
-    Fmt.pf ppf "  model mismatches:@.";
-    List.iter
-      (fun v ->
-        let vx = Psg.vertex psg v.cv_vertex in
-        Fmt.pf ppf "    %s @%a: predicted %s (model slope %s), measured %+.2f@."
-          (Vertex.label vx) Scalana_mlang.Loc.pp vx.Vertex.loc
-          v.cv_pred.Commcost.pred_label
-          (match v.cv_model_slope with
-          | Some m -> Printf.sprintf "%+.2f" m
-          | None -> "?")
-          v.cv_measured_slope)
-      mis
-  end

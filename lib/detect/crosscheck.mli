@@ -44,10 +44,3 @@ val mismatches : t -> verdict list
 (** Does any vertex on the path carry a confirmed verdict?  Used to
     raise root-cause confidence. *)
 val confirms_path : t -> Backtrack.path -> bool
-
-(** The inline row annotation, e.g.
-    [  [predicted O(p), model slope -0.50, measured -0.50 — confirmed]]. *)
-val annotation : verdict -> string
-
-(** The report section: summary counts plus the model-mismatch rows. *)
-val pp : Scalana_psg.Psg.t -> Format.formatter -> t -> unit

@@ -7,8 +7,8 @@
    error, which is what makes diffing across code changes useful.
 
    The per-vertex slope is recomputed here for every touched vertex
-   with exactly the detector's recipe (same aggregation strategy, same
-   effective-scale axis), not just for the top-k findings: a regression
+   with the detector's own recipe ({!Nonscalable.sample} and
+   {!Nonscalable.fit_series}), not just for the top-k findings: a regression
    is most interesting precisely when a vertex that used to be below
    the reporting threshold climbs over it. *)
 
@@ -60,30 +60,8 @@ let summarize ?(label = "") ?(strategy = Aggregate.Mean) ~psg ~crossscale
   let _, largest_ppg = Crossscale.largest cs in
   let total = Ppg.total_time largest_ppg in
   let eval vertex =
-    let series =
-      List.map
-        (fun (n, ppg) ->
-          match Ppg.row_offset ppg ~vertex with
-          | Some off ->
-              ( n,
-                Aggregate.apply_slice strategy (Ppg.times_col ppg) ~off
-                  ~len:ppg.Ppg.nprocs )
-          | None -> (n, 0.0))
-        cs.Crossscale.runs
-    in
-    let fit =
-      Loglog.fit_scaled
-        (List.map
-           (fun (n, t) -> (Crossscale.effective_scale cs ~nprocs:n, t))
-           series)
-    in
-    let at_largest =
-      match Ppg.row_offset largest_ppg ~vertex with
-      | Some off ->
-          Aggregate.sum_clean_slice (Ppg.times_col largest_ppg) ~off
-            ~len:largest_ppg.Ppg.nprocs
-      | None -> 0.0
-    in
+    let series, at_largest, fraction = Nonscalable.sample ~strategy cs ~vertex in
+    let fit = Nonscalable.fit_series cs series in
     let wait_mix =
       match waitstate with
       | None -> []
@@ -98,7 +76,7 @@ let summarize ?(label = "") ?(strategy = Aggregate.Mean) ~psg ~crossscale
       vs_coverage = Ppg.coverage largest_ppg ~vertex;
       vs_time = at_largest;
       vs_wait = Ppg.total_wait largest_ppg ~vertex;
-      vs_fraction = (if total > 0.0 then at_largest /. total else 0.0);
+      vs_fraction = fraction;
       vs_wait_mix = wait_mix;
     }
   in

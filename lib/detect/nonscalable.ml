@@ -53,15 +53,45 @@ let default_config =
     min_points = 3;
   }
 
+(* The per-vertex recipe, shared with [Diff]: the vertex's aggregated
+   time at each scale (scanned in place over its column slice — no
+   per-(vertex, scale) array materializes), and its clean time and share
+   of all time at the largest scale. *)
+let sample ~strategy (cs : Crossscale.t) ~vertex =
+  let _, largest = Crossscale.largest cs in
+  let series =
+    List.map
+      (fun (n, ppg) ->
+        match Ppg.row_offset ppg ~vertex with
+        | Some off ->
+            ( n,
+              Aggregate.apply_slice strategy (Ppg.times_col ppg) ~off
+                ~len:ppg.Ppg.nprocs )
+        | None -> (n, 0.0))
+      cs.Crossscale.runs
+  in
+  let at_largest =
+    match Ppg.row_offset largest ~vertex with
+    | Some off ->
+        Aggregate.sum_clean_slice (Ppg.times_col largest) ~off
+          ~len:largest.Ppg.nprocs
+    | None -> 0.0
+  in
+  let total = Ppg.total_time largest in
+  (series, at_largest, if total > 0.0 then at_largest /. total else 0.0)
+
+(* Fit against *effective* scales: an elastic run's time-weighted mean
+   membership replaces the nominal count on the P axis (for a
+   fixed-membership run the two coincide bit for bit). *)
+let fit_series cs series =
+  Loglog.fit_scaled
+    (List.map (fun (n, t) -> (Crossscale.effective_scale cs ~nprocs:n, t)) series)
+
 let detect_result ?(config = default_config) ?pool (cs : Crossscale.t) =
   Scalana_obs.Obs.with_span "nonscalable.detect" @@ fun () ->
-  let _, largest_ppg = Crossscale.largest cs in
-  let total = Ppg.total_time largest_ppg in
   (* per-vertex work is pure (the PPG columns are frozen at build time),
      so the aggregation + fit loop fans out across domains; parallel_map
-     preserves input order, keeping the ranking stable.  Each scale's
-     per-rank values are scanned in place over the vertex's column
-     slice — no per-(vertex, scale) array materializes. *)
+     preserves input order, keeping the ranking stable *)
   let eval vertex =
     let dropped =
       List.fold_left
@@ -74,37 +104,11 @@ let detect_result ?(config = default_config) ?pool (cs : Crossscale.t) =
           | None -> acc)
         0 cs.Crossscale.runs
     in
-    let series =
-      List.map
-        (fun (n, ppg) ->
-          match Ppg.row_offset ppg ~vertex with
-          | Some off ->
-              ( n,
-                Aggregate.apply_slice config.strategy (Ppg.times_col ppg) ~off
-                  ~len:ppg.Ppg.nprocs )
-          | None -> (n, 0.0))
-        cs.Crossscale.runs
-    in
-    let at_largest =
-      match Ppg.row_offset largest_ppg ~vertex with
-      | Some off ->
-          Aggregate.sum_clean_slice (Ppg.times_col largest_ppg) ~off
-            ~len:largest_ppg.Ppg.nprocs
-      | None -> 0.0
-    in
-    let fraction = if total > 0.0 then at_largest /. total else 0.0 in
+    let series, _, fraction = sample ~strategy:config.strategy cs ~vertex in
     if fraction < config.min_fraction then (None, None, dropped)
     else begin
       Scalana_obs.Obs.Metrics.incr "loglog.fits";
-      (* fit against *effective* scales: an elastic run's time-weighted
-         mean membership replaces the nominal count on the P axis (for a
-         fixed-membership run the two coincide bit for bit) *)
-      let fit =
-        Loglog.fit_scaled
-          (List.map
-             (fun (n, t) -> (Crossscale.effective_scale cs ~nprocs:n, t))
-             series)
-      in
+      let fit = fit_series cs series in
       if dropped > 0 && fit.Loglog.n < config.min_points then
         ( None,
           Some
@@ -148,18 +152,3 @@ let detect_result ?(config = default_config) ?pool (cs : Crossscale.t) =
   { findings = take config.top_k ranked; insufficient; quarantined_values }
 
 let detect ?config ?pool cs = (detect_result ?config ?pool cs).findings
-
-let pp_finding psg ppf f =
-  let v = Scalana_psg.Psg.vertex psg f.vertex in
-  Fmt.pf ppf "%-28s slope=%+.2f score=%.2f frac=%4.1f%% @%a"
-    (Scalana_psg.Vertex.label v) f.slope f.score (100.0 *. f.fraction)
-    Scalana_mlang.Loc.pp v.Scalana_psg.Vertex.loc
-
-let pp_insufficient psg ppf i =
-  let v = Scalana_psg.Psg.vertex psg i.ins_vertex in
-  Fmt.pf ppf "%-28s %d clean scale point%s (%d value%s quarantined) @%a"
-    (Scalana_psg.Vertex.label v) i.clean_points
-    (if i.clean_points = 1 then "" else "s")
-    i.dropped_values
-    (if i.dropped_values = 1 then "" else "s")
-    Scalana_mlang.Loc.pp v.Scalana_psg.Vertex.loc

@@ -38,6 +38,20 @@ type config = {
 
 val default_config : config
 
+(** [sample ~strategy cs ~vertex] is the per-vertex recipe the detector
+    ranks by: [(series, at_largest, fraction)] — the [strategy]-merged
+    time at each scale, the vertex's clean time at the largest scale,
+    and its share of all time there. *)
+val sample :
+  strategy:Aggregate.strategy ->
+  Scalana_ppg.Crossscale.t ->
+  vertex:int ->
+  (int * float) list * float * float
+
+(** The log-log fit of a {!sample} series against the runs' effective
+    (membership-weighted) process counts. *)
+val fit_series : Scalana_ppg.Crossscale.t -> (int * float) list -> Loglog.fit
+
 (** With [pool], the per-vertex aggregation + log-log fits run in
     parallel; the ranking is identical to the sequential one. *)
 val detect_result :
@@ -52,6 +66,3 @@ val detect :
   ?pool:Scalana_pool.Pool.t ->
   Scalana_ppg.Crossscale.t ->
   finding list
-
-val pp_finding : Scalana_psg.Psg.t -> finding Fmt.t
-val pp_insufficient : Scalana_psg.Psg.t -> insufficient Fmt.t

@@ -48,50 +48,3 @@ let is_clean t =
   && t.quarantined_values = 0
   && t.insufficient_vertices = 0
   && t.rank_coverage >= 1.0
-
-let pp_ranks ppf = function
-  | [] -> Fmt.pf ppf "none"
-  | rs -> Fmt.pf ppf "{%s}" (String.concat "," (List.map string_of_int rs))
-
-(* The "-- data quality --" section of the text report; only rendered
-   when the pipeline degraded (clean runs keep their exact old output). *)
-let pp ppf t =
-  Fmt.pf ppf "@.-- data quality (degraded inputs) --@.";
-  Fmt.pf ppf "  rank coverage: %.1f%%@." (100.0 *. t.rank_coverage);
-  List.iter
-    (fun a ->
-      Fmt.pf ppf "  artifact damage: %s: %s (%d record%s salvaged)@."
-        (Filename.basename a.ai_path)
-        a.ai_detail a.ai_kept
-        (if a.ai_kept = 1 then "" else "s"))
-    t.artifact_issues;
-  List.iter
-    (fun r ->
-      let backoff ppf =
-        if r.ri_backoff > 0.0 then Fmt.pf ppf ", %.3fs backoff" r.ri_backoff
-      in
-      if r.ri_left <> [] || r.ri_joined <> [] then
-        Fmt.pf ppf
-          "  elastic run: np=%d left=%a joined=%a stranded=%a (%d epoch%s, %d \
-           attempt%s%t)@."
-          r.ri_nprocs pp_ranks r.ri_left pp_ranks r.ri_joined pp_ranks
-          r.ri_stranded r.ri_epochs
-          (if r.ri_epochs = 1 then "" else "s")
-          r.ri_attempts
-          (if r.ri_attempts = 1 then "" else "s")
-          backoff
-      else
-        Fmt.pf ppf
-          "  degraded run: np=%d killed ranks=%a stranded=%a (%d attempt%s%t)@."
-          r.ri_nprocs pp_ranks r.ri_killed pp_ranks r.ri_stranded r.ri_attempts
-          (if r.ri_attempts = 1 then "" else "s")
-          backoff)
-    t.run_issues;
-  if t.dropped_scales <> [] then
-    Fmt.pf ppf "  dropped scales: %s@."
-      (String.concat ", " (List.map string_of_int t.dropped_scales));
-  if t.quarantined_values > 0 then
-    Fmt.pf ppf "  quarantined values: %d@." t.quarantined_values;
-  if t.insufficient_vertices > 0 then
-    Fmt.pf ppf "  vertices with insufficient data: %d@."
-      t.insufficient_vertices

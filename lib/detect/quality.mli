@@ -31,6 +31,3 @@ type t = {
 
 val clean : t
 val is_clean : t -> bool
-
-(** The "-- data quality --" report section (degraded pipelines only). *)
-val pp : Format.formatter -> t -> unit

@@ -1,52 +1,59 @@
-(** Textual root-cause report: ranked causes with calling paths and
-    source snippets (the viewer of Fig. 9 rendered for a terminal). *)
+(** The root-cause report (the viewer of Fig. 9): one typed model built
+    from the analysis, and its terminal rendering.  {!build} decides what
+    the report contains; renderers ({!to_text} here, [Htmlreport] for the
+    standalone page) only lay it out. *)
 
-val pp_cause :
-  psg:Scalana_psg.Psg.t ->
+include module type of struct
+  include Report_model
+end
+
+(** Culprit ranks kept per wait-state entry. *)
+val blamed_ranks : int
+
+(** [build analysis ~psg].  [predicted_locs] (static-lint hit locations,
+    default: the locations of [lint]) mark the non-scalable rows the
+    linter anticipated.  [ppg] (the largest scale's) supplies the
+    per-rank times of abnormal rows and the sampled wait of wait-state
+    rows.  [scales] and [detect_seconds] only fill the header. *)
+val build :
   ?program:Scalana_mlang.Ast.program ->
-  ?crosscheck:Crosscheck.t ->
-  Format.formatter ->
-  int * Rootcause.cause ->
-  unit
+  ?lint:Lint.finding list ->
+  ?predicted_locs:Scalana_mlang.Loc.t list ->
+  ?quality:Quality.t ->
+  ?phase_costs:(string * int * float) list ->
+  ?ppg:Scalana_ppg.Ppg.t ->
+  ?history:Scalana_obs.History.entry list ->
+  ?scales:int list ->
+  ?detect_seconds:float ->
+  Rootcause.analysis ->
+  psg:Scalana_psg.Psg.t ->
+  t
 
-(** [predicted ~psg ~locs vid]: was vertex [vid] — or an enclosing
-    structure — flagged at one of the static-lint locations [locs]? *)
-val predicted :
-  psg:Scalana_psg.Psg.t -> locs:Scalana_mlang.Loc.t list -> int -> bool
+(** {1 Pieces both renderings share} *)
 
-(** The "-- trend --" section: one ASCII sparkline of the fitted slope
-    per vertex tracked in the given ledger entries (oldest first).
-    Prints nothing on [[]]. *)
-val pp_trend :
-  Format.formatter -> Scalana_obs.History.entry list -> unit
+(** Numbered source lines around the cause, [context] lines each side. *)
+val snippet : t -> context:int -> cause_row -> string list
+
+(** A backtracking path, one step per line. *)
+val pp_path : (Backtrack.step * vref) list Fmt.t
+
+(** The static model's verdict on a row, e.g.
+    ["[predicted O(p), model slope -0.50, measured -0.50 — confirmed]"]. *)
+val annotation : Crosscheck.verdict -> string
+
+(** ["late-sender 0.012000s, ..."] *)
+val wait_evidence : Rootcause.cause -> string
+
+(** {1 Terminal rendering} *)
+
+val to_text : t -> string
 
 (** The "-- pipeline cost --" section over [(phase, calls, total
     seconds)] rows; prints nothing on [[]].  Exposed so [scalana-diff]
     can render its own cost with the same layout. *)
-val pp_phase_costs :
-  Format.formatter -> (string * int * float) list -> unit
+val pp_phase_costs : Format.formatter -> (string * int * float) list -> unit
 
-(** [render analysis ~psg] — with [predicted_locs] (static-lint hit
-    locations), non-scalable vertices the linter anticipated are marked
-    ["[predicted statically]"].  A non-clean [quality] prepends a data
-    quality section quantifying what degraded inputs lost; with the
-    default clean quality the output is byte-identical to the original
-    report.  A non-empty [phase_costs] ([(phase, calls, total seconds)]
-    from {!Scalana_obs.Obs.phase_summary}) appends a "pipeline cost"
-    section; by default — observability off — nothing is added.  When
-    [analysis.waitstate] is set, a wait-state section is appended with
-    per-class totals and the top waiting vertices cross-referenced
-    against the detected ones; [ppg] adds the profiler's independently
-    sampled wait per vertex as a cross-check.  When
-    [analysis.crosscheck] is set, each non-scalable row covered by a
-    symbolic prediction carries a
-    ["[predicted O(p), model slope -0.50, measured -0.50 — confirmed]"]
-    annotation, a cross-check section (with model-mismatch rows)
-    follows the ranking, and causes whose backtracking path the model
-    confirms gain a raised-confidence line; [None] (the default) leaves
-    the report byte-identical.  A non-empty [history] (prior ledger
-    entries, oldest first) appends the trend section; the default [[]]
-    leaves the report byte-identical. *)
+(** [to_text (build …)], for callers holding the analysis pieces. *)
 val render :
   ?program:Scalana_mlang.Ast.program ->
   ?predicted_locs:Scalana_mlang.Loc.t list ->

@@ -120,17 +120,14 @@ let render (p : Ast.program) =
 
 let render_lines p = String.split_on_char '\n' (render p)
 
-let snippet ?(context = 1) p loc =
-  let lines = Array.of_list (render_lines p) in
-  let n = Array.length lines in
+let snippet_of_lines ?(context = 1) lines loc =
   let target = Loc.line loc in
-  if target < 1 || target > n then []
-  else begin
-    let lo = max 1 (target - context) and hi = min n (target + context) in
-    let acc = ref [] in
-    for i = hi downto lo do
-      if i >= 1 && i <= n then
-        acc := Fmt.str "%4d | %s" i lines.(i - 1) :: !acc
-    done;
-    !acc
-  end
+  if target < 1 || target > Array.length lines then []
+  else
+    let lo = max 1 (target - context)
+    and hi = min (Array.length lines) (target + context) in
+    List.init (hi - lo + 1) (fun k ->
+        Fmt.str "%4d | %s" (lo + k) lines.(lo + k - 1))
+
+let snippet ?context p loc =
+  snippet_of_lines ?context (Array.of_list (render_lines p)) loc

@@ -11,6 +11,10 @@ val render_lines : Ast.program -> string list
     prefixed with line numbers — the viewer's code window. *)
 val snippet : ?context:int -> Ast.program -> Loc.t -> string list
 
+(** [snippet] over already rendered lines ({!render_lines} as an array),
+    for callers that cut several windows from one program. *)
+val snippet_of_lines : ?context:int -> string array -> Loc.t -> string list
+
 val pp_mpi : Ast.mpi_call Fmt.t
 val pp_peer : Ast.peer Fmt.t
 val pp_tag : Ast.tag Fmt.t

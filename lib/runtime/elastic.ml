@@ -255,6 +255,11 @@ let recovery_seconds i =
     (fun acc r -> acc +. r.r_detect +. r.r_agree +. r.r_repartition)
     0.0 i.recoveries
 
+(* Every rank that left, and every rank that joined, over the session. *)
+let membership_changes i =
+  ( List.concat_map (fun r -> r.r_left) i.recoveries,
+    List.concat_map (fun r -> r.r_joined) i.recoveries )
+
 (* "0-3,5,7-8": members lists compressed into ranges for reports. *)
 let compress_ranks (ranks : int array) =
   let n = Array.length ranks in

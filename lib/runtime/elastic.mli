@@ -123,6 +123,10 @@ val effective_nprocs : epoch_info list -> float
     over the session's recoveries. *)
 val recovery_seconds : info -> float
 
+(** [(left, joined)]: the global ranks that left and that joined over
+    all of the session's recoveries, in recovery order. *)
+val membership_changes : info -> int list * int list
+
 (** ["0-3,5,7-8"] — a sorted rank array compressed into ranges;
     ["none"] when empty. *)
 val compress_ranks : int array -> string

@@ -533,8 +533,7 @@ let test_viewer_renders () =
     (try
        ignore (Str.search_forward (Str.regexp_string "source view") text 0);
        true
-     with Not_found -> false);
-  check_bool "summary lines" true (Scalana.Viewer.summary pipe <> [])
+     with Not_found -> false)
 
 let test_mean_overhead_ordering () =
   let entry = Scalana_apps.Registry.find "mg" in
@@ -546,7 +545,6 @@ let test_mean_overhead_ordering () =
   check_bool "tracing most expensive" true
     (get Scalana.Experiment.Tracing_tool > get Scalana.Experiment.Scalana_tool);
   check_bool "scalana cheap" true (get Scalana.Experiment.Scalana_tool < 10.0)
-
 
 let test_html_report () =
   let entry = Scalana_apps.Registry.find "zeusmp" in
@@ -569,6 +567,66 @@ let test_html_report () =
   let path = Filename.temp_file "scalana" ".html" in
   Scalana.Htmlreport.write pipe ~path;
   check_bool "file written" true (Sys.file_exists path && (Unix.stat path).Unix.st_size > 1000)
+
+(* Both renderings lay out one model, so every name the model ranks —
+   each cause, each non-scalable vertex, each wait class — must appear in
+   the text report and in the HTML page alike. *)
+let test_renderers_agree () =
+  let module R = Scalana_detect.Report in
+  let html_esc s =
+    List.fold_left
+      (fun s (c, e) -> String.concat e (String.split_on_char c s))
+      s
+      [ ('&', "&amp;"); ('<', "&lt;"); ('>', "&gt;"); ('"', "&quot;") ]
+  in
+  let contains needle hay =
+    try
+      ignore (Str.search_forward (Str.regexp_string needle) hay 0);
+      true
+    with Not_found -> false
+  in
+  let check_pipe what pipe =
+    let m = pipe.Scalana.Pipeline.model in
+    let text = pipe.Scalana.Pipeline.report in
+    let html = Scalana.Htmlreport.render pipe in
+    let names =
+      List.map (fun (r : R.cause_row) -> r.cause.cause_label) m.causes
+      @ List.map (fun (r : R.nonscalable_row) -> r.ns_vertex.label) m.nonscalable
+      @
+      match m.waitstates with
+      | None -> []
+      | Some w ->
+          List.map
+            (fun (c, _) -> Scalana_detect.Waitstate.class_name c)
+            w.ws.class_totals
+          @ List.map
+              (fun (r : R.wait_row) ->
+                Scalana_detect.Waitstate.class_name r.we.ws_class)
+              w.ws_rows
+    in
+    check_bool (what ^ ": model has rows") true (names <> []);
+    List.iter
+      (fun name ->
+        check_bool (Printf.sprintf "%s: %s in text" what name) true
+          (contains name text);
+        check_bool (Printf.sprintf "%s: %s in html" what name) true
+          (contains (html_esc name) html))
+      names
+  in
+  let run ?(timeline = false) name =
+    let entry = Scalana_apps.Registry.find name in
+    Scalana.Pipeline.run ~cost:entry.cost ~timeline
+      ~scales:(Scalana_apps.Registry.scales entry ~min_np:4 ~max_np:16)
+      (entry.make ())
+  in
+  let zeusmp = run "zeusmp" in
+  check_bool "zeusmp has causes" true
+    (zeusmp.Scalana.Pipeline.model.R.causes <> []);
+  check_pipe "zeusmp" zeusmp;
+  let cg = run ~timeline:true "cg" in
+  check_bool "cg carries wait states" true
+    (cg.Scalana.Pipeline.model.R.waitstates <> None);
+  check_pipe "cg --wait-states" cg
 
 (* --- seeded property: the artifact record stream encodes byte-stably.
    Writing arbitrary records, reading them back and writing them again
@@ -809,6 +867,7 @@ let () =
         [
           Alcotest.test_case "renders" `Quick test_viewer_renders;
           Alcotest.test_case "html report" `Quick test_html_report;
+          Alcotest.test_case "text and html agree" `Quick test_renderers_agree;
         ] );
       ( "elastic",
         [

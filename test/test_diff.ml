@@ -383,12 +383,6 @@ let test_trend_section_rendering () =
         ~time:1_700_000_060.0 ();
     ]
   in
-  let text = Fmt.str "%a" Report.pp_trend history in
-  check_bool "trend header" true (has "trend (history ledger" text);
-  check_bool "commit range shown" true (has "aaa1111 .. bbb2222" text);
-  check_bool "vertex key shown" true (has "work @ring.mmp:5" text);
-  check_bool "empty history renders nothing" true
-    (String.equal "" (Fmt.str "%a" Report.pp_trend []));
   (* flags off: reports stay byte-identical *)
   let prog () = ring_program ~niter:4 () in
   let plain = Scalana.Pipeline.run ~scales (prog ()) in
@@ -396,12 +390,30 @@ let test_trend_section_rendering () =
     Scalana.Pipeline.detect ~history plain.Scalana.Pipeline.static
       plain.Scalana.Pipeline.runs
   in
-  check_bool "report gains the section" true
-    (has "trend (history ledger" with_history.Scalana.Pipeline.report);
+  (match with_history.Scalana.Pipeline.model.Report.trend with
+  | None -> Alcotest.fail "history yields no trend in the model"
+  | Some tr ->
+      check_int "trend counts the entries" 2 tr.Report.tr_entries;
+      check_string "oldest commit" "aaa1111" tr.Report.tr_first;
+      check_string "newest commit" "bbb2222" tr.Report.tr_last;
+      let row =
+        List.find
+          (fun r -> r.Report.tr_key = "work @ring.mmp:5")
+          tr.Report.tr_rows
+      in
+      check_bool "latest slope is the newest entry's" true
+        (row.Report.tr_latest = Some (-0.5)));
+  check_bool "empty history builds no trend" true
+    (plain.Scalana.Pipeline.model.Report.trend = None);
+  let text = with_history.Scalana.Pipeline.report in
+  check_bool "report gains the section" true (has "trend (history ledger" text);
+  check_bool "commit range shown" true (has "aaa1111 .. bbb2222" text);
+  check_bool "vertex key shown" true (has "work @ring.mmp:5" text);
   check_bool "plain report has none" false
     (has "trend (history ledger" plain.Scalana.Pipeline.report);
   let html = Scalana.Htmlreport.render with_history in
   check_bool "html trend section" true (has "Trend (history ledger" html);
+  check_bool "html vertex key shown" true (has "work @ring.mmp:5" html);
   check_bool "plain html has none" false
     (has "Trend (history ledger" (Scalana.Htmlreport.render plain))
 
