@@ -80,7 +80,9 @@ let wait_rows = 12
 let snippet_context = 2
 
 let sp = Printf.sprintf
-let ranks = function [] -> "—" | rs -> String.concat "," (List.map string_of_int rs)
+let ranks = function
+  | [] -> "—"
+  | rs -> String.concat "," (List.map string_of_int rs)
 
 (* One <table>: a header row, then one row per entry; cells are HTML. *)
 let table buf head rows =
@@ -129,7 +131,8 @@ let render (pipe : Pipeline.t) =
                  esc (ranks r.ri_joined);
                  (if r.ri_epochs > 0 then string_of_int r.ri_epochs else "—");
                  string_of_int r.ri_attempts;
-                 (if r.ri_backoff > 0.0 then sp "%.3fs" r.ri_backoff else "—") ])
+                 (if r.ri_backoff > 0.0 then sp "%.3fs" r.ri_backoff
+                  else "—") ])
              q.run_issues);
       if q.dropped_scales <> [] then
         out "<p class=\"meta\">dropped scales: %s</p>"
@@ -163,7 +166,9 @@ let render (pipe : Pipeline.t) =
            (if r.ns_predicted then "yes" else "—") ]
          @
          if checked then
-           [ Option.fold ~none:"—" ~some:(fun v -> esc (Report.annotation v)) r.ns_check ]
+           [ Option.fold ~none:"—"
+               ~some:(fun v -> esc (Report.annotation v))
+               r.ns_check ]
          else [])
        m.nonscalable);
   Option.iter
@@ -201,7 +206,9 @@ let render (pipe : Pipeline.t) =
   List.iteri
     (fun i (r : Report.abnormal_row) ->
       if i < abnormal_charts then
-        out "<p><b>%s</b> @%s — %d deviating ranks, max %.4fs, median %.4fs</p>%s"
+        out
+          "<p><b>%s</b> @%s — %d deviating ranks, max %.4fs, median \
+           %.4fs</p>%s"
           (esc r.ab_vertex.label)
           (esc (Loc.to_string r.ab_vertex.loc))
           (List.length r.ab.ranks) r.ab.max_time r.ab.median_time
@@ -226,7 +233,8 @@ let render (pipe : Pipeline.t) =
       if c.wait_evidence <> [] then
         out "<br><span class=\"meta\">wait-state evidence: %s</span>"
           (esc (Report.wait_evidence c));
-      out "<div class=\"path\">%s</div>" (esc (Fmt.str "%a" Report.pp_path r.c_path));
+      out "<div class=\"path\">%s</div>"
+        (esc (Fmt.str "%a" Report.pp_path r.c_path));
       out "<div class=\"snippet\">%s</div>"
         (esc (String.concat "\n" (Report.snippet m ~context:snippet_context r)));
       out "</div>")
@@ -239,23 +247,30 @@ let render (pipe : Pipeline.t) =
       out "%s" (svg_bars ~hot:[] w.ws.rank_blocked);
       table [ "class"; "attributed" ]
         (List.map
-           (fun (cls, total) -> [ esc (Waitstate.class_name cls); sp "%.6fs" total ])
+           (fun (cls, total) ->
+             [ esc (Waitstate.class_name cls); sp "%.6fs" total ])
            w.ws.class_totals);
       if w.ws_rows <> [] then
         table
-          [ "vertex"; "location"; "class"; "time"; "ops"; "blamed ranks"; "flags" ]
+          [ "vertex"; "location"; "class"; "time"; "ops"; "blamed ranks";
+            "flags" ]
           (List.filteri (fun i _ -> i < wait_rows) w.ws_rows
           |> List.map (fun (r : Report.wait_row) ->
                  let flags =
                    (if r.we_nonscalable then [ "non-scalable" ] else [])
                    @ if r.we_abnormal then [ "abnormal" ] else []
                  in
-                 [ esc (Option.fold ~none:"(unresolved)" ~some:(fun (v : Report.vref) -> v.label) r.we_vertex);
-                   esc (Option.fold ~none:"—" ~some:(fun (v : Report.vref) -> Loc.to_string v.loc) r.we_vertex);
+                 let label, loc =
+                   match r.we_vertex with
+                   | Some v -> (v.label, Loc.to_string v.loc)
+                   | None -> ("(unresolved)", "—")
+                 in
+                 [ esc label; esc loc;
                    esc (Waitstate.class_name r.we.ws_class);
                    sp "%.6fs" r.we.ws_time; string_of_int r.we.ws_ops;
                    esc (String.concat "," (List.map string_of_int r.we_blamed));
-                   esc (if flags = [] then "—" else String.concat ", " flags) ]));
+                   (if flags = [] then "—"
+                    else esc (String.concat ", " flags)) ]));
       if w.ws.truncated > 0 then
         out
           "<p class=\"meta\">timeline truncated: %d events dropped · %.6fs \
@@ -265,7 +280,8 @@ let render (pipe : Pipeline.t) =
   List.iter
     (fun (el : Report.elastic) ->
       let info = el.el_info in
-      out "<h2>Elastic membership timeline &amp; recovery (np=%d)</h2>" el.el_nprocs;
+      out "<h2>Elastic membership timeline &amp; recovery (np=%d)</h2>"
+        el.el_nprocs;
       out
         "<p class=\"meta\">effective nprocs %.2f · %d epochs · %d ranks ever \
          member · recovery protocol %.6fs</p>"
@@ -287,7 +303,8 @@ let render (pipe : Pipeline.t) =
              (fun ((r : E.recovery), stall) ->
                [ string_of_int r.r_iter; esc (ranks r.r_left);
                  esc (ranks r.r_joined) ]
-               @ List.map (sp "%.6fs") [ r.r_detect; r.r_agree; r.r_repartition; stall ])
+               @ List.map (sp "%.6fs")
+                   [ r.r_detect; r.r_agree; r.r_repartition; stall ])
              el.el_recoveries))
     m.elastic;
   Option.iter
@@ -301,7 +318,8 @@ let render (pipe : Pipeline.t) =
         (List.map
            (fun (r : Report.trend_row) ->
              [ esc r.tr_key;
-               sp "<code>%s</code>" (esc (Scalana_obs.History.sparkline r.tr_series));
+               sp "<code>%s</code>"
+                 (esc (Scalana_obs.History.sparkline r.tr_series));
                Option.fold ~none:"—" ~some:(sp "%+.2f") r.tr_latest ])
            tr.tr_rows))
     m.trend;

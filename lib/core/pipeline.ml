@@ -23,16 +23,10 @@ type t = {
   runs : (int * Prof.run) list;
   crossscale : Crossscale.t;
   analysis : Rootcause.analysis;
-  lint : Lint.finding list;  (* static scaling-loss predictions *)
   quality : Quality.t;  (* what degraded inputs lost (clean = nothing) *)
   detect_seconds : float;
-  phase_costs : (string * int * float) list;
-      (* per-phase self-observability summary; [] unless tracing is on *)
   timeline : Scalana_profile.Timeline.t option;
       (* per-rank timeline at the largest scale; None unless requested *)
-  history : Scalana_obs.History.entry list;
-      (* prior ledger entries behind the report's trend section; []
-         unless the caller loaded a ledger (--history) *)
   model : Report.t;  (* the report, built once; both renderings read it *)
   report : string;
 }
@@ -210,12 +204,9 @@ let detect_with ?(config = Config.default) ?pool
     runs;
     crossscale;
     analysis;
-    lint;
     quality;
     detect_seconds;
-    phase_costs;
     timeline;
-    history;
     model;
     report;
   }

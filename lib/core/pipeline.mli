@@ -18,31 +18,19 @@ type t = {
   runs : (int * Prof.run) list;
   crossscale : Crossscale.t;
   analysis : Rootcause.analysis;
-  lint : Lint.finding list;
-      (** static scaling-loss predictions; non-scalable vertices they
-          anticipate are marked in the report *)
   quality : Quality.t;
       (** what degraded inputs lost ({!Scalana_detect.Quality.clean}
           when nothing did) *)
   detect_seconds : float;
-  phase_costs : (string * int * float) list;
-      (** per-phase self-observability summary [(phase, calls, total
-          seconds)], sorted by total descending — filled only while
-          {!Scalana_obs.Obs} collection is enabled (e.g. under
-          [scalana-detect --trace]); [[]] otherwise, and then the report
-          is byte-identical to a build without the observability layer *)
   timeline : Scalana_profile.Timeline.t option;
       (** per-rank timeline captured at the largest analyzed scale;
           [None] unless requested (e.g. [run ~timeline:true] or
           [scalana-detect --wait-states]), and then the report carries a
           wait-state section *)
-  history : Scalana_obs.History.entry list;
-      (** prior ledger entries behind the report's trend section —
-          loaded by the caller (e.g. [scalana-detect --history]); [[]]
-          (the default) leaves the report byte-identical *)
   model : Scalana_detect.Report.t;
-      (** the report as typed rows, built once; [report] and
-          {!Htmlreport.render} both render it *)
+      (** the report as typed rows — lint findings, pipeline cost and
+          trend included — built once; [report] and {!Htmlreport.render}
+          both render it *)
   report : string;
 }
 

@@ -38,10 +38,9 @@ type config = {
 
 val default_config : config
 
-(** [sample ~strategy cs ~vertex] is the per-vertex recipe the detector
-    ranks by: [(series, at_largest, fraction)] — the [strategy]-merged
-    time at each scale, the vertex's clean time at the largest scale,
-    and its share of all time there. *)
+(** The per-vertex recipe the detector ranks by: [(series, at_largest,
+    fraction)], the merged time per scale and the clean time and share
+    of all time at the largest scale. *)
 val sample :
   strategy:Aggregate.strategy ->
   Scalana_ppg.Crossscale.t ->

@@ -1,16 +1,10 @@
 (* The root-cause report — the ScalAna-viewer of Section V: ranked root
-   causes with calling paths (upper window) and source snippets (lower
-   window), plus the sections the extensions add.
-
-   [build] turns an analysis into one typed model and owns every decision
-   about content: which sections appear (quality only when degraded,
-   wait states only when a timeline was replayed, elastic only for
-   elastic sessions, trend only with a history ledger, pipeline cost
-   only while tracing) and every derived value (totals, membership
-   flags, culprit lists, latest slopes).  Renderers only lay the model
-   out: [to_text] here for the terminal, [Htmlreport] for the
-   standalone page.  A default pipeline yields a model whose optional
-   sections are all empty, so the report stays the original one. *)
+   causes with calling paths and source snippets, plus the sections the
+   extensions add.  [build] owns every decision about content: which
+   sections appear (each optional one only when its layer ran) and every
+   derived value (totals, membership flags, culprit lists, latest
+   slopes).  Renderers only lay the model out: [to_text] here for the
+   terminal, [Htmlreport] for the standalone page. *)
 
 open Scalana_psg
 module Loc = Scalana_mlang.Loc
@@ -46,7 +40,9 @@ let build ?program ?(lint = []) ?predicted_locs ?(quality = Quality.clean)
     | None -> List.map (fun (f : Lint.finding) -> f.loc) lint
   in
   let cx = a.crosscheck in
-  let ns_vids = List.map (fun (f : Nonscalable.finding) -> f.vertex) a.nonscalable in
+  let ns_vids =
+    List.map (fun (f : Nonscalable.finding) -> f.vertex) a.nonscalable
+  in
   let ab_vids = List.map (fun (f : Abnormal.finding) -> f.vertex) a.abnormal in
   let nonscalable (f : Nonscalable.finding) =
     {
@@ -57,17 +53,19 @@ let build ?program ?(lint = []) ?predicted_locs ?(quality = Quality.clean)
     }
   in
   let crosscheck (cx : Crosscheck.t) =
-    let count p = List.length (List.filter p cx.cx_verdicts) in
+    let checked = List.length cx.cx_verdicts
+    and confirmed = List.length (Crosscheck.confirmed cx)
+    and mismatches = Crosscheck.mismatches cx in
     {
       cx_scales = cx.cx_scales;
       cx_tolerance = cx.cx_tolerance;
       cx_exact = cx.cx_exact;
-      cx_checked = List.length cx.cx_verdicts;
-      cx_confirmed = count (fun v -> v.cv_agrees = Some true);
-      cx_unmodeled = count (fun v -> v.cv_agrees = None);
+      cx_checked = checked;
+      cx_confirmed = confirmed;
+      (* a verdict without a model slope neither confirms nor mismatches *)
+      cx_unmodeled = checked - confirmed - List.length mismatches;
       cx_mismatches =
-        List.map (fun (v : Crosscheck.verdict) -> (vref v.cv_vertex, v))
-          (Crosscheck.mismatches cx);
+        List.map (fun (v : Crosscheck.verdict) -> (vref v.cv_vertex, v)) mismatches;
     }
   in
   let abnormal (f : Abnormal.finding) =
@@ -117,15 +115,22 @@ let build ?program ?(lint = []) ?predicted_locs ?(quality = Quality.clean)
     let stall (r : E.recovery) =
       (r, List.fold_left (fun acc (_, s) -> acc +. s) 0.0 r.r_stalls)
     in
-    { el_nprocs = np; el_info = info; el_recoveries = List.map stall info.recoveries }
+    {
+      el_nprocs = np;
+      el_info = info;
+      el_recoveries = List.map stall info.recoveries;
+    }
   in
   let trend_row key =
     let series = H.slope_trend history ~key in
-    let latest = List.fold_left (fun acc v -> if v = None then acc else v) None series in
+    let latest =
+      List.fold_left (fun acc v -> if v = None then acc else v) None series
+    in
     { tr_key = key; tr_series = series; tr_latest = latest }
   in
   {
-    program = Option.fold ~none:"" ~some:(fun p -> p.Scalana_mlang.Ast.pname) program;
+    program =
+      Option.fold ~none:"" ~some:(fun p -> p.Scalana_mlang.Ast.pname) program;
     scales;
     detect_seconds;
     n_paths = List.length a.paths;
@@ -134,7 +139,9 @@ let build ?program ?(lint = []) ?predicted_locs ?(quality = Quality.clean)
     nonscalable = List.map nonscalable a.nonscalable;
     crosscheck = Option.map crosscheck cx;
     insufficient =
-      List.map (fun (i : Nonscalable.insufficient) -> (vref i.ins_vertex, i)) a.insufficient;
+      List.map
+        (fun (i : Nonscalable.insufficient) -> (vref i.ins_vertex, i))
+        a.insufficient;
     lint;
     abnormal = List.map abnormal a.abnormal;
     causes = List.map cause a.causes;
@@ -330,7 +337,8 @@ let pp_elastic ppf el =
     info.effective n_epochs (plural n_epochs) info.n_ranks (plural info.n_ranks);
   List.iteri
     (fun i (e : E.epoch_info) ->
-      Fmt.pf ppf "    epoch %d  iters [%d,%d)  np=%-3d  ranks %s  [%.6fs, %.6fs)@."
+      Fmt.pf ppf
+        "    epoch %d  iters [%d,%d)  np=%-3d  ranks %s  [%.6fs, %.6fs)@."
         i e.ei_lo e.ei_hi e.ei_nprocs
         (E.compress_ranks e.ei_members)
         e.ei_t0 e.ei_t1)

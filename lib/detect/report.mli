@@ -7,9 +7,6 @@ include module type of struct
   include Report_model
 end
 
-(** Culprit ranks kept per wait-state entry. *)
-val blamed_ranks : int
-
 (** [build analysis ~psg].  [predicted_locs] (static-lint hit locations,
     default: the locations of [lint]) mark the non-scalable rows the
     linter anticipated.  [ppg] (the largest scale's) supplies the

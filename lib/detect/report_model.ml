@@ -38,7 +38,7 @@ type cause_row = {
 type wait_row = {
   we : Waitstate.entry;
   we_vertex : vref option;  (** [None]: the op's vertex was unresolvable *)
-  we_blamed : int list;  (** the first [Report.blamed_ranks] culprit ranks *)
+  we_blamed : int list;  (** the first 8 culprit ranks *)
   we_nonscalable : bool;
   we_abnormal : bool;
   we_sampled : float option;  (** the profiler's sampled wait there *)

@@ -570,48 +570,73 @@ let test_html_report () =
 
 (* Both renderings lay out one model, so every name the model ranks —
    each cause, each non-scalable vertex, each wait class — must appear in
-   the text report and in the HTML page alike. *)
+   the matching section of the text report and of the HTML page alike.
+   Causes are checked on their numbered headline, since a cause's label
+   also shows up in other causes' backtracking paths. *)
 let test_renderers_agree () =
   let module R = Scalana_detect.Report in
+  let module Loc = Scalana_mlang.Loc in
   let html_esc s =
     List.fold_left
       (fun s (c, e) -> String.concat e (String.split_on_char c s))
       s
       [ ('&', "&amp;"); ('<', "&lt;"); ('>', "&gt;"); ('"', "&quot;") ]
   in
-  let contains needle hay =
-    try
-      ignore (Str.search_forward (Str.regexp_string needle) hay 0);
-      true
-    with Not_found -> false
+  let find needle hay from =
+    try Some (Str.search_forward (Str.regexp_string needle) hay from)
+    with Not_found -> None
+  in
+  (* the text from [heading] up to the next heading ([next]) *)
+  let section ~next doc heading =
+    match find heading doc 0 with
+    | None -> Alcotest.failf "no %S section" heading
+    | Some i -> (
+        let from = i + String.length heading in
+        match find next doc from with
+        | Some j -> String.sub doc from (j - from)
+        | None -> String.sub doc from (String.length doc - from))
   in
   let check_pipe what pipe =
     let m = pipe.Scalana.Pipeline.model in
     let text = pipe.Scalana.Pipeline.report in
     let html = Scalana.Htmlreport.render pipe in
-    let names =
-      List.map (fun (r : R.cause_row) -> r.cause.cause_label) m.causes
-      @ List.map (fun (r : R.nonscalable_row) -> r.ns_vertex.label) m.nonscalable
-      @
-      match m.waitstates with
-      | None -> []
-      | Some w ->
-          List.map
-            (fun (c, _) -> Scalana_detect.Waitstate.class_name c)
-            w.ws.class_totals
-          @ List.map
-              (fun (r : R.wait_row) ->
-                Scalana_detect.Waitstate.class_name r.we.ws_class)
-              w.ws_rows
+    let text_sec = section ~next:"\n-- " text in
+    let html_sec = section ~next:"<h2>" html in
+    let both (t, h) needle =
+      check_bool (Printf.sprintf "%s: %s in text" what needle) true
+        (find needle t 0 <> None);
+      check_bool (Printf.sprintf "%s: %s in html" what needle) true
+        (find (html_esc needle) h 0 <> None)
     in
-    check_bool (what ^ ": model has rows") true (names <> []);
+    let ns = (text_sec "-- non-scalable", html_sec "<h2>Non-scalable") in
     List.iter
-      (fun name ->
-        check_bool (Printf.sprintf "%s: %s in text" what name) true
-          (contains name text);
-        check_bool (Printf.sprintf "%s: %s in html" what name) true
-          (contains (html_esc name) html))
-      names
+      (fun (r : R.nonscalable_row) ->
+        both ns r.ns_vertex.label;
+        both ns (Loc.to_string r.ns_vertex.loc))
+      m.nonscalable;
+    let causes = text_sec "-- root causes" in
+    let html_causes = html_sec "<h2>Root causes" in
+    List.iteri
+      (fun i (r : R.cause_row) ->
+        let label = r.cause.cause_label in
+        check_bool (Printf.sprintf "%s: cause #%d in text" what (i + 1)) true
+          (find (Printf.sprintf "#%d  %s @" (i + 1) label) causes 0 <> None);
+        check_bool (Printf.sprintf "%s: cause #%d in html" what (i + 1)) true
+          (find (Printf.sprintf "#%d %s</b>" (i + 1) (html_esc label)) html_causes
+             0
+          <> None))
+      m.causes;
+    Option.iter
+      (fun (w : R.waitstates) ->
+        let ws = (text_sec "-- wait states", html_sec "<h2>Wait states") in
+        List.iter
+          (fun (c, _) -> both ws (Scalana_detect.Waitstate.class_name c))
+          w.ws.class_totals;
+        List.iter
+          (fun (r : R.wait_row) ->
+            both ws (Scalana_detect.Waitstate.class_name r.we.ws_class))
+          w.ws_rows)
+      m.waitstates
   in
   let run ?(timeline = false) name =
     let entry = Scalana_apps.Registry.find name in
@@ -620,8 +645,9 @@ let test_renderers_agree () =
       (entry.make ())
   in
   let zeusmp = run "zeusmp" in
-  check_bool "zeusmp has causes" true
-    (zeusmp.Scalana.Pipeline.model.R.causes <> []);
+  check_bool "zeusmp ranks causes and vertices" true
+    (zeusmp.Scalana.Pipeline.model.R.causes <> []
+    && zeusmp.Scalana.Pipeline.model.R.nonscalable <> []);
   check_pipe "zeusmp" zeusmp;
   let cg = run ~timeline:true "cg" in
   check_bool "cg carries wait states" true
