@@ -18,7 +18,7 @@ let blamed_ranks = 8
 
 let vref psg vid =
   let v = Psg.vertex psg vid in
-  { vid; label = Vertex.label v; loc = v.Vertex.loc }
+  { label = Vertex.label v; loc = v.Vertex.loc }
 
 (* Was this vertex (or an enclosing structure) flagged by the static
    linter?  The lint anchors at source statements — often the loop

@@ -2,7 +2,7 @@
    an analysis and every renderer reads.  Types only; {!Report} re-exports
    them. *)
 
-type vref = { vid : int; label : string; loc : Scalana_mlang.Loc.t }
+type vref = { label : string; loc : Scalana_mlang.Loc.t }
 (** A PSG vertex resolved for display. *)
 
 type nonscalable_row = {
