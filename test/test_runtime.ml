@@ -961,6 +961,94 @@ let test_blocks_counter () =
   check_int "events" r.Exec.events (List.assoc "exec.events" counters);
   check_int "three ranks parked" 3 (List.assoc "exec.blocks" counters)
 
+(* --- message and request pools ---
+
+   Every lifetime rule of the simulator's in-flight MPI state, on one
+   fixture: an [Irecv] slot overwritten before its message arrives, a
+   function returning with unwaited eager and rendezvous [Isend]s, a
+   wildcard [Recv], a rendezvous-sized blocking [Send], a [Waitall]
+   over slots reused across loop iterations (one named twice), and a
+   [Sendrecv].  Its digests (the result, bare and with a nil tool, and
+   every hook event with its receive dependences) were captured from the engine before the
+   pools became integer handles. *)
+
+let pool_fixture_digests =
+  ("629396bbdbbeb7f094343feda20f28ca", "b7fca3a24cd4b37e7de31fae3c83adf1")
+
+let pool_fixture_program () =
+  let open Expr.Infix in
+  let b = Builder.create ~file:"pool.mmp" ~name:"pool" () in
+  let right = (rank + i 1) % np and left = (rank - i 1 + np) % np in
+  Builder.func b "leaky" (fun () ->
+      [
+        Builder.isend b ~dest:right ~tag:(i 10) ~bytes:(i 64) ~req:"e" ();
+        Builder.isend b ~dest:right ~tag:(i 11) ~bytes:(i 100_000) ~req:"z" ();
+        Builder.comp b ~flops:((rank + i 1) * i 10_000) ~mem:(i 100) ();
+      ]);
+  Builder.func b "main" (fun () ->
+      [
+        Builder.call b "leaky";
+        Builder.comp b ~flops:((np - rank) * i 20_000) ~mem:(i 100) ();
+        Builder.recv b ~src:left ~tag:(i 10) ~bytes:(i 64) ();
+        Builder.recv b ~src:left ~tag:(i 11) ~bytes:(i 100_000) ();
+        Builder.barrier b;
+        Builder.irecv b ~src:left ~tag:(i 20) ~bytes:(i 64) ~req:"r" ();
+        Builder.irecv b ~src:left ~tag:(i 21) ~bytes:(i 64) ~req:"r" ();
+        Builder.comp b ~flops:((rank + i 1) * i 15_000) ~mem:(i 100) ();
+        Builder.send b ~dest:right ~tag:(i 21) ~bytes:(i 64) ();
+        Builder.comp b ~flops:(i 5_000) ~mem:(i 100) ();
+        Builder.send b ~dest:right ~tag:(i 20) ~bytes:(i 64) ();
+        Builder.wait b ~req:"r";
+        Builder.barrier b;
+        Builder.branch b
+          ~cond:(rank = i 0)
+          ~else_:(fun () ->
+            [
+              Builder.comp b ~flops:(rank * i 7_000) ~mem:(i 100) ();
+              Builder.send b ~dest:(i 0) ~tag:rank ~bytes:(i 32) ();
+            ])
+          (fun () ->
+            [
+              Builder.loop b ~var:"w" ~count:(np - i 1) (fun () ->
+                  [ Builder.recv b ~bytes:(i 32) () ]);
+            ]);
+        Builder.branch b
+          ~cond:(rank % i 2 = i 0)
+          ~else_:(fun () ->
+            [ Builder.recv b ~src:left ~tag:(i 30) ~bytes:(i 200_000) () ])
+          (fun () ->
+            [
+              Builder.comp b ~flops:(i 40_000) ~mem:(i 100) ();
+              Builder.send b ~dest:right ~tag:(i 30) ~bytes:(i 200_000) ();
+            ]);
+        Builder.loop b ~var:"k" ~count:(i 3) (fun () ->
+            [
+              Builder.irecv b ~src:left ~tag:(v "k") ~bytes:(i 100_000)
+                ~req:"r" ();
+              Builder.comp b
+                ~flops:((rank + v "k" + i 1) * i 9_000)
+                ~mem:(i 100) ();
+              Builder.isend b ~dest:right ~tag:(v "k")
+                ~bytes:(i 100_000) ~req:"s" ();
+              Builder.waitall b ~reqs:[ "s"; "r"; "s" ];
+            ]);
+        Builder.sendrecv b ~dest:right ~stag:(i 40) ~sbytes:(i 128) ~src:left
+          ~rtag:(i 40) ~rbytes:(i 128) ();
+        Builder.allreduce b ~bytes:(i 8);
+      ]);
+  Builder.program b
+
+let test_pool_fixture_digests () =
+  let result_d, traced_d = pool_fixture_digests in
+  let prog = pool_fixture_program () in
+  check_string "bare" result_d (digest_result (run ~nprocs:6 prog));
+  check_string "nil-tool" result_d
+    (digest_result (run ~nprocs:6 ~tools:[ Instrument.nil "nil" ] prog));
+  let tool, trace = recording_tool () in
+  ignore (run ~nprocs:6 ~tools:[ tool ] prog);
+  check_string "traced" traced_d
+    (Digest.to_hex (Digest.string (Marshal.to_string (trace ()) [])))
+
 (* --- elastic membership and recovery --- *)
 
 let test_elastic_membership_shrink () =
@@ -1180,6 +1268,11 @@ let () =
             test_resume_deep_recursion;
           Alcotest.test_case "parks counted in exec.blocks" `Quick
             test_blocks_counter;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "fixture digests" `Quick
+            test_pool_fixture_digests;
         ] );
       ( "elastic",
         [
