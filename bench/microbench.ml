@@ -135,18 +135,17 @@ let make_tests () =
             (Staged.stage (fun () ->
                  let open Scalana_runtime in
                  let comm = Comm.create ~net:Network.default ~nprocs:np in
-                 let loc = Scalana_mlang.Loc.none in
                  for r = 0 to np - 1 do
                    ignore
                      (Comm.post_recv comm ~rank:r ~src:((r + 1) mod np) ~tag:7
-                        ~bytes:64 ~time:0.0 ~loc)
+                        ~time:0.0 ~site:0)
                  done;
                  for r = 0 to np - 1 do
                    ignore
                      (Comm.send comm ~src:r ~dst:((r - 1 + np) mod np) ~tag:7
-                        ~bytes:64 ~time:0.0 ~loc ~site:0)
+                        ~bytes:64 ~time:0.0 ~site:0)
                  done;
-                 comm.Scalana_runtime.Comm.messages_sent));
+                 Comm.messages_sent comm));
           Test.make ~name:(Printf.sprintf "engine_sched_heap_np%d" np)
             (Staged.stage (fun () ->
                  let open Scalana_runtime in

@@ -155,14 +155,16 @@ let ranks_of path =
     [] path
   |> List.rev
 
-let pp_step psg ppf s =
-  let v = Psg.vertex psg s.vertex in
-  Fmt.pf ppf "[r%d] %s @%a (%s)" s.rank (Vertex.label v) Scalana_mlang.Loc.pp
-    v.Vertex.loc (via_name s.via)
-
-let pp_path psg ppf path =
+let pp_steps resolve ppf path =
   List.iteri
-    (fun i s ->
+    (fun i x ->
+      let s, label, loc = resolve x in
       if i > 0 then Fmt.pf ppf "@.  <- ";
-      pp_step psg ppf s)
+      Fmt.pf ppf "[r%d] %s @%a (%s)" s.rank label Scalana_mlang.Loc.pp loc
+        (via_name s.via))
     path
+
+let pp_path psg =
+  pp_steps (fun s ->
+      let v = Psg.vertex psg s.vertex in
+      (s, Vertex.label v, v.Vertex.loc))

@@ -40,5 +40,11 @@ val backtrack :
 (** Ranks touched, in order of first appearance. *)
 val ranks_of : path -> int list
 
-val pp_step : Scalana_psg.Psg.t -> step Fmt.t
+(** The one printer of a backtracking path: a [[rN] label @loc (via)]
+    line per step, each after the first prefixed [<- ]; [resolve] gives
+    a step's label and location. *)
+val pp_steps :
+  ('a -> step * string * Scalana_mlang.Loc.t) -> 'a list Fmt.t
+
+(** {!pp_steps} over a raw path, labels and locations from the PSG. *)
 val pp_path : Scalana_psg.Psg.t -> path Fmt.t

@@ -170,12 +170,7 @@ let snippet t ~context (c : cause_row) =
   Scalana_mlang.Pretty.snippet_of_lines ~context t.source c.cause.cause_loc
 
 let pp_path ppf path =
-  List.iteri
-    (fun i ((s : Backtrack.step), v) ->
-      if i > 0 then Fmt.pf ppf "@.  <- ";
-      Fmt.pf ppf "[r%d] %s @%a (%s)" s.rank v.label Loc.pp v.loc
-        (Backtrack.via_name s.via))
-    path
+  Backtrack.pp_steps (fun (s, v) -> (s, v.label, v.loc)) ppf path
 
 let annotation (v : Crosscheck.verdict) =
   let label = v.cv_pred.Scalana_cfg.Commcost.pred_label in

@@ -216,19 +216,31 @@ let tool r =
         if r.r_elapsed < elapsed then r.r_elapsed <- elapsed);
   }
 
+(* Monomorphic lexicographic orders, (rank, start, stop) and (send
+   time, src, dst, tag): each pair compares with the sign polymorphic
+   [compare] gives on the same tuples, without allocating them. *)
+let by_rank_start a b =
+  let c = Int.compare a.iv_rank b.iv_rank in
+  if c <> 0 then c
+  else
+    let c = Float.compare a.iv_start b.iv_start in
+    if c <> 0 then c else Float.compare a.iv_stop b.iv_stop
+
+let by_send a b =
+  let c = Float.compare a.msg_send_time b.msg_send_time in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.msg_src b.msg_src in
+    if c <> 0 then c
+    else
+      let c = Int.compare a.msg_dst b.msg_dst in
+      if c <> 0 then c else Int.compare a.msg_tag b.msg_tag
+
 let capture r =
   let intervals = Array.of_list r.r_intervals in
-  Array.sort
-    (fun a b ->
-      compare (a.iv_rank, a.iv_start, a.iv_stop) (b.iv_rank, b.iv_start, b.iv_stop))
-    intervals;
+  Array.sort by_rank_start intervals;
   let messages = Array.of_list r.r_messages in
-  Array.sort
-    (fun a b ->
-      compare
-        (a.msg_send_time, a.msg_src, a.msg_dst, a.msg_tag)
-        (b.msg_send_time, b.msg_src, b.msg_dst, b.msg_tag))
-    messages;
+  Array.sort by_send messages;
   {
     nprocs = r.r_nprocs;
     elapsed = r.r_elapsed;

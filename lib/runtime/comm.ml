@@ -4,96 +4,36 @@
    receives vs unexpected messages) with tag/source wildcards and
    non-overtaking order, an eager/rendezvous protocol switch, and
    sequence-numbered collective instances with full-synchronization cost
-   semantics.  The [on_complete] callback lets the scheduler wake blocked
-   processes the moment a request completes.
+   semantics.  The [on_wake] callback lets the scheduler wake a blocked
+   process the moment a request it waits on completes.
 
-   This is the simulator's hottest data structure, so the representation
-   is allocation-free on the matching path: queues are flat arrays with
-   tombstoned removal (matching marks an entry dead in place; slots are
-   reclaimed in bulk when a queue next needs room), wildcards are
-   sentinel integers rather than options, absent messages/requests are
-   cyclic [nil_message]/[nil_request] sentinels compared physically, and
-   exact-match receives carry a packed (src, tag) key so the common
-   non-wildcard probe is a single integer comparison.  Collective
-   instances accumulate a count and a running latest-arrival instead of
-   an arrival list, which turns the per-collective cost from O(nprocs^2)
-   to O(nprocs) — the seed engine's dominant term at np >= 4096. *)
+   This is the simulator's hottest data structure.  In-flight messages
+   and requests are int handles into pools of flat stripes (one int and
+   one float array each, see [pool]), so a point-to-point operation
+   allocates nothing and leaves the GC nothing to promote or mark.  A
+   freed slot is pushed on a LIFO free list threaded through its first
+   int field.  Queues are int arrays of handles; matching overwrites the
+   entry with [-1], and dead entries are reclaimed in bulk when a queue
+   next needs room.  Wildcards are sentinel integers, and exact-match
+   receives carry a packed (src, tag) key so the common non-wildcard
+   probe is a single integer comparison.  Collective instances
+   accumulate a count and a running latest-arrival instead of an arrival
+   list, which turns the per-collective cost from O(nprocs^2) to
+   O(nprocs).  Lifetimes are set out in comm.mli. *)
 
 open Scalana_mlang
 
-type message = {
-  msg_src : int;
-  msg_dst : int;
-  msg_tag : int;
-  msg_bytes : int;
-  msg_key : int;  (* packed (src, tag), -1 when the tag doesn't pack *)
-  send_seq : int;
-  send_time : float;
-  mutable arrival : float;  (* infinity until scheduled (rendezvous) *)
-  send_loc : Loc.t;
-  send_site : int;  (* the sender's call-context site, see [Exec] *)
-  eager : bool;
-  mutable sender_req : request;  (* [nil_request] = none *)
-  mutable consumed : bool;  (* tombstone in the unexpected queue *)
-}
+type request = int
+type message = int
 
-and request = {
-  req_id : int;
-  req_rank : int;
-  req_kind : [ `Send | `Recv ];
-  post_time : float;
-  want_src : int;  (* [any_src] = MPI_ANY_SOURCE *)
-  want_tag : int;  (* [any_tag] = MPI_ANY_TAG *)
-  req_key : int;  (* packed exact (src, tag), -1 when wildcarded *)
-  req_bytes : int;
-  req_loc : Loc.t;
-  mutable completed : bool;  (* tombstone in the posted queue *)
-  mutable completion : float;
-  mutable matched : message;  (* [nil_message] = none *)
-  mutable waiter : int;  (* blocked rank to wake on completion, -1 = none *)
-}
+let nil_request = -1
+let nil_message = -1
 
 (* Wildcard sentinels.  [min_int] cannot be produced by a program's
    source/tag expression in practice, and explicit sources are validated
    into [0, nprocs) anyway. *)
 let any_src = min_int
 let any_tag = min_int
-
-let rec nil_message =
-  {
-    msg_src = -1;
-    msg_dst = -1;
-    msg_tag = 0;
-    msg_bytes = 0;
-    msg_key = -1;
-    send_seq = 0;
-    send_time = 0.0;
-    arrival = 0.0;
-    send_loc = Loc.none;
-    send_site = 0;
-    eager = true;
-    sender_req = nil_request;
-    consumed = true;
-  }
-
-and nil_request =
-  {
-    req_id = 0;
-    req_rank = -1;
-    req_kind = `Send;
-    post_time = 0.0;
-    want_src = any_src;
-    want_tag = any_tag;
-    req_key = -1;
-    req_bytes = 0;
-    req_loc = Loc.none;
-    completed = true;
-    completion = 0.0;
-    matched = nil_message;
-    waiter = -1;
-  }
-
-let has_matched (r : request) = r.matched != nil_message
 
 (* Packed (src, tag) fast path: when both fit in 30 bits the pair packs
    into one non-negative int, and two packed keys are equal iff the
@@ -108,62 +48,140 @@ let pack_key src tag =
     (src lsl key_bits) lor tag
   else -1
 
-(* --- flat queues with tombstoned removal --- *)
+(* --- pools --- *)
 
-type 'a dq = {
-  mutable buf : 'a array;
-  mutable head : int;  (* first possibly-live slot *)
-  mutable tail : int;  (* one past the last slot in use *)
-  dummy : 'a;
+(* Slot [h] owns ints [h*iw, h*iw + iw) and floats [h*fw, h*fw + fw).
+   [top] only moves when the free list is empty, i.e. when every slot
+   below it is live, so it is the high-water mark. *)
+type pool = {
+  iw : int;
+  fw : int;
+  mutable ints : int array;
+  mutable floats : float array;
+  mutable top : int;
+  mutable free : int;  (* head of the free list, -1 = empty *)
+  mutable live : int;
 }
 
-let dq_create dummy = { buf = Array.make 4 dummy; head = 0; tail = 0; dummy }
+let pool_create ~iw ~fw ~cap =
+  {
+    iw;
+    fw;
+    ints = Array.make (iw * cap) 0;
+    floats = Array.make (fw * cap) 0.0;
+    top = 0;
+    free = -1;
+    live = 0;
+  }
+
+let alloc p =
+  p.live <- p.live + 1;
+  if p.free >= 0 then begin
+    let h = p.free in
+    p.free <- p.ints.(h * p.iw);
+    h
+  end
+  else begin
+    let h = p.top in
+    if (h + 1) * p.iw > Array.length p.ints then begin
+      let ints = Array.make (2 * Array.length p.ints) 0 in
+      Array.blit p.ints 0 ints 0 (Array.length p.ints);
+      let floats = Array.make (2 * Array.length p.floats) 0.0 in
+      Array.blit p.floats 0 floats 0 (Array.length p.floats);
+      p.ints <- ints;
+      p.floats <- floats
+    end;
+    p.top <- h + 1;
+    h
+  end
+
+let dealloc p h =
+  p.ints.(h * p.iw) <- p.free;
+  p.free <- h;
+  p.live <- p.live - 1
+
+(* Request stripes.  [r_held]: 1 while the caller holds the request
+   (between posting and [release]), 0 once released. *)
+let r_recv = 0 (* 1 = receive, 0 = send *)
+let r_src = 1 (* wanted source, [any_src] = MPI_ANY_SOURCE *)
+let r_tag = 2 (* wanted tag, [any_tag] = MPI_ANY_TAG *)
+let r_key = 3 (* packed exact (src, tag), -1 when wildcarded *)
+let r_done = 4
+let r_msg = 5 (* the send's message / the matched one; -1 = none *)
+let r_waiter = 6 (* blocked rank to wake on completion, -1 = none *)
+let r_site = 7 (* posting site *)
+let r_held = 8
+let r_iw = 9
+let r_post = 0
+let r_completion = 1
+let r_fw = 2
+
+(* Message stripes.  [m_refs] counts the sender request, the
+   unexpected-queue entry and the receiver request. *)
+let m_src = 0
+let m_dst = 1
+let m_tag = 2
+let m_bytes = 3
+let m_key = 4 (* packed (src, tag), -1 when the tag doesn't pack *)
+let m_site = 5 (* the sender's call-context site, see [Exec] *)
+let m_eager = 6
+let m_sreq = 7 (* sender request, -1 once it is freed *)
+let m_refs = 8
+let m_iw = 9
+let m_send_time = 0
+let m_arrival = 1 (* infinity until scheduled (rendezvous) *)
+let m_fw = 2
+
+(* --- flat queues of handles, [-1] = dead --- *)
+
+type dq = { mutable buf : int array; mutable head : int; mutable tail : int }
+
+let dq_create () = { buf = Array.make 4 (-1); head = 0; tail = 0 }
 
 (* Drop dead entries in order; grow only when mostly live.  In-place
    compaction is safe because the write index never passes the read
    index. *)
-let dq_compact dead q =
+let dq_compact q =
   let live = ref 0 in
   for i = q.head to q.tail - 1 do
-    if not (dead q.buf.(i)) then incr live
+    if q.buf.(i) >= 0 then incr live
   done;
   let cap = Array.length q.buf in
-  let buf = if 2 * !live >= cap then Array.make (2 * cap) q.dummy else q.buf in
+  let buf = if 2 * !live >= cap then Array.make (2 * cap) (-1) else q.buf in
   let j = ref 0 in
   for i = q.head to q.tail - 1 do
     let x = q.buf.(i) in
-    if not (dead x) then begin
+    if x >= 0 then begin
       buf.(!j) <- x;
       incr j
     end
   done;
-  if buf == q.buf then
-    for i = !j to q.tail - 1 do
-      q.buf.(i) <- q.dummy
-    done;
+  if buf == q.buf then Array.fill q.buf !j (q.tail - !j) (-1);
   q.buf <- buf;
   q.head <- 0;
   q.tail <- !j
 
-let dq_push dead q x =
-  if q.tail = Array.length q.buf then dq_compact dead q;
+let dq_push q x =
+  if q.tail = Array.length q.buf then dq_compact q;
   q.buf.(q.tail) <- x;
   q.tail <- q.tail + 1
 
-let msg_dead (m : message) = m.consumed
-let req_dead (r : request) = r.completed
+(* Skip the dead entries at the front. *)
+let dq_trim q =
+  while q.head < q.tail && q.buf.(q.head) < 0 do
+    q.head <- q.head + 1
+  done
 
 type t = {
   net : Network.t;
   nprocs : int;
-  unexpected : message dq array;  (* per destination, send order *)
-  posted : request dq array;  (* per receiver, post order *)
+  reqs : pool;
+  msgs : pool;
+  unexpected : dq array;  (* messages per destination, send order *)
+  posted : dq array;  (* receives per receiver, post order *)
   colls : (int, coll) Hashtbl.t;  (* in-flight instances by sequence *)
-  mutable msg_seq : int;
-  mutable req_seq : int;
-  mutable on_complete : request -> unit;
+  mutable on_wake : int -> unit;
   mutable messages_sent : int;
-  mutable bytes_sent : float;
 }
 
 and coll = {
@@ -180,161 +198,218 @@ and coll = {
 }
 
 let create ~net ~nprocs =
+  let cap = max 16 nprocs in
   {
     net;
     nprocs;
-    unexpected = Array.init nprocs (fun _ -> dq_create nil_message);
-    posted = Array.init nprocs (fun _ -> dq_create nil_request);
+    reqs = pool_create ~iw:r_iw ~fw:r_fw ~cap;
+    msgs = pool_create ~iw:m_iw ~fw:m_fw ~cap;
+    unexpected = Array.init nprocs (fun _ -> dq_create ());
+    posted = Array.init nprocs (fun _ -> dq_create ());
     colls = Hashtbl.create 64;
-    msg_seq = 0;
-    req_seq = 0;
-    on_complete = (fun _ -> ());
+    on_wake = (fun _ -> ());
     messages_sent = 0;
-    bytes_sent = 0.0;
   }
 
-let set_on_complete t f = t.on_complete <- f
+let set_on_wake t f = t.on_wake <- f
 
-let complete t req ~at =
-  req.completed <- true;
-  req.completion <- at;
-  t.on_complete req
+(* [Network.transfer_time] and [Network.is_eager], restated here so the
+   hot path stays in this module: a call across modules returns its
+   float boxed when they are compiled separately. *)
+let[@inline] transfer_time t bytes =
+  t.net.latency +. (float_of_int (if bytes > 0 then bytes else 0) /. t.net.bandwidth)
 
-let matches (req : request) (msg : message) =
-  if req.req_key >= 0 then req.req_key = msg.msg_key
+let[@inline] is_eager t bytes = bytes <= t.net.eager_threshold
+
+(* --- field access --- *)
+
+let[@inline] rget t r f = t.reqs.ints.((r * r_iw) + f)
+let[@inline] rset t r f v = t.reqs.ints.((r * r_iw) + f) <- v
+let[@inline] rgetf t r f = t.reqs.floats.((r * r_fw) + f)
+let[@inline] rsetf t r f v = t.reqs.floats.((r * r_fw) + f) <- v
+let[@inline] mget t m f = t.msgs.ints.((m * m_iw) + f)
+let[@inline] mset t m f v = t.msgs.ints.((m * m_iw) + f) <- v
+let[@inline] mgetf t m f = t.msgs.floats.((m * m_fw) + f)
+let[@inline] msetf t m f v = t.msgs.floats.((m * m_fw) + f) <- v
+let[@inline] completed t r = rget t r r_done = 1
+let[@inline] completion t r = rgetf t r r_completion
+let[@inline] is_recv t r = rget t r r_recv = 1
+let[@inline] matched t r = rget t r r_msg
+let[@inline] set_waiter t r w = rset t r r_waiter w
+
+type envelope = {
+  src : int;
+  dst : int;
+  tag : int;
+  bytes : int;
+  site : int;
+  send_time : float;
+}
+
+let envelope t m =
+  {
+    src = mget t m m_src;
+    dst = mget t m m_dst;
+    tag = mget t m m_tag;
+    bytes = mget t m m_bytes;
+    site = mget t m m_site;
+    send_time = mgetf t m m_send_time;
+  }
+let messages_sent t = t.messages_sent
+let live_requests t = t.reqs.live
+let live_messages t = t.msgs.live
+let peak_requests t = t.reqs.top
+let peak_messages t = t.msgs.top
+
+(* --- lifetimes --- *)
+
+let unref t m =
+  let n = mget t m m_refs - 1 in
+  mset t m m_refs n;
+  if n = 0 then dealloc t.msgs m
+
+let free_req t r =
+  let m = rget t r r_msg in
+  if m >= 0 then begin
+    if not (is_recv t r) then mset t m m_sreq (-1);
+    unref t m
+  end;
+  dealloc t.reqs r
+
+let release t r = if completed t r then free_req t r else rset t r r_held 0
+
+let[@inline] complete t r ~at =
+  rset t r r_done 1;
+  rsetf t r r_completion at;
+  let w = rget t r r_waiter in
+  if w >= 0 then begin
+    rset t r r_waiter (-1);
+    t.on_wake w
+  end;
+  if rget t r r_held = 0 then free_req t r
+
+(* --- matching --- *)
+
+(* Whether a receive wanting [key] (or, when it is -1, [want_src] and
+   [want_tag]) accepts a message from [src] with [tag] and key [mkey]. *)
+let[@inline] accepts ~key ~want_src ~want_tag ~mkey ~src ~tag =
+  if key >= 0 then key = mkey
   else
-    (req.want_src = any_src || req.want_src = msg.msg_src)
-    && (req.want_tag = any_tag || req.want_tag = msg.msg_tag)
+    (want_src = any_src || want_src = src)
+    && (want_tag = any_tag || want_tag = tag)
 
-(* Join a message with a posted receive and complete both sides.  The
-   message becomes a tombstone in whichever queue holds it. *)
-let consume t (req : request) (msg : message) =
-  msg.consumed <- true;
-  req.matched <- msg;
-  if msg.eager then
+(* Join a message with a posted receive and complete both sides; the
+   caller has already killed the queue entry that held one of them. *)
+let consume t r m =
+  rset t r r_msg m;
+  mset t m m_refs (mget t m m_refs + 1);
+  if mget t m m_eager = 1 then
     (* transfer was already in flight; the receive sees it at arrival *)
-    complete t req ~at:(Float.max req.post_time msg.arrival)
+    complete t r ~at:(Float.max (rgetf t r r_post) (mgetf t m m_arrival))
   else begin
     (* rendezvous: transfer starts when both sides are ready *)
-    let start = Float.max req.post_time msg.send_time in
-    let arrival = start +. Network.transfer_time t.net msg.msg_bytes in
-    msg.arrival <- arrival;
-    let sreq = msg.sender_req in
-    if sreq != nil_request && not sreq.completed then
-      complete t sreq ~at:arrival;
-    complete t req ~at:arrival
+    let start = Float.max (rgetf t r r_post) (mgetf t m m_send_time) in
+    let arrival = start +. transfer_time t (mget t m m_bytes) in
+    msetf t m m_arrival arrival;
+    let s = mget t m m_sreq in
+    if s >= 0 && not (completed t s) then complete t s ~at:arrival;
+    complete t r ~at:arrival
   end
 
-let fresh_req t =
-  t.req_seq <- t.req_seq + 1;
-  t.req_seq
+let new_req t ~recv ~src ~tag ~key ~site ~time =
+  let r = alloc t.reqs in
+  rset t r r_recv (if recv then 1 else 0);
+  rset t r r_src src;
+  rset t r r_tag tag;
+  rset t r r_key key;
+  rset t r r_done 0;
+  rset t r r_msg (-1);
+  rset t r r_waiter (-1);
+  rset t r r_site site;
+  rset t r r_held 1;
+  rsetf t r r_post time;
+  rsetf t r r_completion infinity;
+  r
 
 (* Post a send at [time]; returns the sender-side request (already
    completed for eager messages). *)
-let send t ~src ~dst ~tag ~bytes ~time ~loc ~site =
-  if dst < 0 || dst >= t.nprocs then
-    Fmt.invalid_arg "send to rank %d outside 0..%d (%s)" dst (t.nprocs - 1)
-      (Loc.to_string loc);
-  t.msg_seq <- t.msg_seq + 1;
+let send t ~src ~dst ~tag ~bytes ~time ~site =
   t.messages_sent <- t.messages_sent + 1;
-  t.bytes_sent <- t.bytes_sent +. float_of_int bytes;
-  let eager = Network.is_eager t.net bytes in
-  let msg =
-    {
-      msg_src = src;
-      msg_dst = dst;
-      msg_tag = tag;
-      msg_bytes = bytes;
-      msg_key = pack_key src tag;
-      send_seq = t.msg_seq;
-      send_time = time;
-      arrival =
-        (if eager then time +. Network.transfer_time t.net bytes else infinity);
-      send_loc = loc;
-      send_site = site;
-      eager;
-      sender_req = nil_request;
-      consumed = false;
-    }
+  let eager = is_eager t bytes in
+  let m = alloc t.msgs in
+  mset t m m_src src;
+  mset t m m_dst dst;
+  mset t m m_tag tag;
+  mset t m m_bytes bytes;
+  mset t m m_key (pack_key src tag);
+  mset t m m_site site;
+  mset t m m_eager (if eager then 1 else 0);
+  mset t m m_refs 1;
+  msetf t m m_send_time time;
+  if eager then msetf t m m_arrival (time +. transfer_time t bytes)
+  else msetf t m m_arrival infinity;
+  let s =
+    new_req t ~recv:false ~src:any_src ~tag:any_tag ~key:(-1) ~site ~time
   in
-  let sreq =
-    {
-      req_id = fresh_req t;
-      req_rank = src;
-      req_kind = `Send;
-      post_time = time;
-      want_src = any_src;
-      want_tag = any_tag;
-      req_key = -1;
-      req_bytes = bytes;
-      req_loc = loc;
-      completed = eager;
-      completion = (if eager then time else infinity);
-      matched = msg;
-      waiter = -1;
-    }
-  in
-  msg.sender_req <- sreq;
+  rset t s r_msg m;
+  mset t m m_sreq s;
+  if eager then begin
+    rset t s r_done 1;
+    rsetf t s r_completion time
+  end;
   (* match against posted receives of the destination, FIFO *)
   let q = t.posted.(dst) in
-  while q.head < q.tail && (q.buf.(q.head)).completed do
-    q.buf.(q.head) <- nil_request;
-    q.head <- q.head + 1
-  done;
-  let i = ref q.head in
-  let matched = ref false in
-  while (not !matched) && !i < q.tail do
-    let r = q.buf.(!i) in
-    if (not r.completed) && matches r msg then begin
-      consume t r msg;
-      matched := true
-    end
+  dq_trim q;
+  let mkey = pack_key src tag and ri = t.reqs.ints in
+  let i = ref q.head and r = ref (-1) in
+  while !r < 0 && !i < q.tail do
+    let x = q.buf.(!i) in
+    let b = x * r_iw in
+    if
+      x >= 0
+      && accepts ~key:ri.(b + r_key) ~want_src:ri.(b + r_src)
+           ~want_tag:ri.(b + r_tag) ~mkey ~src ~tag
+    then r := x
     else incr i
   done;
-  if not !matched then dq_push msg_dead t.unexpected.(dst) msg;
-  sreq
+  if !r >= 0 then begin
+    q.buf.(!i) <- -1;
+    consume t !r m
+  end
+  else begin
+    mset t m m_refs 2;
+    dq_push t.unexpected.(dst) m
+  end;
+  s
 
 (* Post a receive at [time]; returns the request (already completed when
    a matching unexpected message was waiting). *)
-let post_recv t ~rank ~src ~tag ~bytes ~time ~loc =
-  if src <> any_src && (src < 0 || src >= t.nprocs) then
-    Fmt.invalid_arg "recv from rank %d outside 0..%d (%s)" src (t.nprocs - 1)
-      (Loc.to_string loc);
-  let req =
-    {
-      req_id = fresh_req t;
-      req_rank = rank;
-      req_kind = `Recv;
-      post_time = time;
-      want_src = src;
-      want_tag = tag;
-      req_key =
-        (if src <> any_src && tag <> any_tag then pack_key src tag else -1);
-      req_bytes = bytes;
-      req_loc = loc;
-      completed = false;
-      completion = infinity;
-      matched = nil_message;
-      waiter = -1;
-    }
-  in
+let post_recv t ~rank ~src ~tag ~time ~site =
+  let key = if src <> any_src && tag <> any_tag then pack_key src tag else -1 in
+  let r = new_req t ~recv:true ~src ~tag ~key ~site ~time in
   let q = t.unexpected.(rank) in
-  while q.head < q.tail && (q.buf.(q.head)).consumed do
-    q.buf.(q.head) <- nil_message;
-    q.head <- q.head + 1
-  done;
-  let i = ref q.head in
-  let matched = ref false in
-  while (not !matched) && !i < q.tail do
-    let m = q.buf.(!i) in
-    if (not m.consumed) && matches req m then begin
-      consume t req m;
-      matched := true
-    end
+  dq_trim q;
+  let mi = t.msgs.ints in
+  let i = ref q.head and m = ref (-1) in
+  while !m < 0 && !i < q.tail do
+    let x = q.buf.(!i) in
+    let b = x * m_iw in
+    if
+      x >= 0
+      && accepts ~key ~want_src:src ~want_tag:tag ~mkey:mi.(b + m_key)
+           ~src:mi.(b + m_src) ~tag:mi.(b + m_tag)
+    then m := x
     else incr i
   done;
-  if not !matched then dq_push req_dead t.posted.(rank) req;
-  req
+  if !m >= 0 then begin
+    let m = !m in
+    q.buf.(!i) <- -1;
+    consume t r m;
+    (* the receive's reference replaces the queue's *)
+    unref t m
+  end
+  else dq_push t.posted.(rank) r;
+  r
 
 (* Constructor identity of an MPI call, for the cheap collective
    mismatch check (codes are distinct per constructor, so equal codes
@@ -403,28 +478,31 @@ let coll_arrive t ~seq ~rank ~time ~kind ~bytes =
   end;
   c
 
-let pending_summary t =
+let pending_summary t ~loc_of_site =
   let buf = Buffer.create 128 in
+  let live q f =
+    for i = q.head to q.tail - 1 do
+      if q.buf.(i) >= 0 then f q.buf.(i)
+    done
+  in
+  let wanted sentinel v = if v = sentinel then "any" else string_of_int v in
   Array.iteri
-    (fun rank (q : request dq) ->
-      for i = q.head to q.tail - 1 do
-        let r = q.buf.(i) in
-        if not r.completed then
+    (fun rank q ->
+      live q (fun r ->
           Buffer.add_string buf
             (Printf.sprintf "  rank %d: recv posted at %s (src=%s tag=%s)\n"
-               rank (Loc.to_string r.req_loc)
-               (if r.want_src = any_src then "any" else string_of_int r.want_src)
-               (if r.want_tag = any_tag then "any" else string_of_int r.want_tag))
-      done)
+               rank
+               (Loc.to_string (loc_of_site (rget t r r_site)))
+               (wanted any_src (rget t r r_src))
+               (wanted any_tag (rget t r r_tag)))))
     t.posted;
   Array.iteri
-    (fun rank (q : message dq) ->
-      for i = q.head to q.tail - 1 do
-        let m = q.buf.(i) in
-        if not m.consumed then
+    (fun rank q ->
+      live q (fun m ->
+          let e = envelope t m in
           Buffer.add_string buf
             (Printf.sprintf "  rank %d: unconsumed msg from %d tag %d (%s)\n"
-               rank m.msg_src m.msg_tag (Loc.to_string m.send_loc))
-      done)
+               rank e.src e.tag
+               (Loc.to_string (loc_of_site e.site)))))
     t.unexpected;
   Buffer.contents buf

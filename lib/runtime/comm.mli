@@ -3,87 +3,129 @@
     with tag/source wildcards and non-overtaking order, eager/rendezvous
     protocols, and sequence-numbered fully-synchronizing collectives.
 
-    The representation is allocation-free on the matching path: flat
-    per-rank queues with tombstoned removal, integer wildcard sentinels
-    ({!any_src}/{!any_tag}) instead of options, cyclic
-    {!nil_message}/{!nil_request} sentinels (compare physically, or use
-    {!has_matched}) instead of option boxing, and a packed (src, tag)
-    key as the exact-match fast path.  Collective instances keep a
-    running (count, latest-arrival) pair rather than an arrival list. *)
+    {2 Representation}
+
+    In-flight messages and requests are int handles into two pools.  A
+    pool is one [int array] and one [float array] striped by slot, with
+    freed slots recycled through a LIFO free list, so a point-to-point
+    operation allocates nothing and the GC has nothing to copy or mark:
+    no per-message record, no pointer field, no boxed float.  Queues
+    hold handles; a matched entry is overwritten with [-1] in place and
+    dead entries are reclaimed in bulk when a queue next needs room.
+    Wildcards are the integer sentinels {!any_src}/{!any_tag}, and an
+    exact-match receive carries a packed (src, tag) key so the common
+    probe is one integer comparison.  Locations are not stored: a
+    message keeps its sender's call-context site and a receive its
+    posting site, resolved by the caller ({!pending_summary}).
+
+    {2 Lifetimes}
+
+    A request is held by the caller from {!send}/{!post_recv} until it
+    calls {!release}, and by its receiver's posted queue until matched.
+    The simulator's holders are: the blocking statement that awaits it
+    ([Send]/[Recv]/[Sendrecv]), released right after the statement
+    finishes; or a frame slot ([Isend]/[Irecv]), released when the slot
+    is overwritten or the call activation owning the frame returns.  A
+    request released before it completes is freed when it completes.
+
+    A message is reference-counted: its sender request, its
+    unexpected-queue entry and its receiver request each hold one
+    reference.  Freeing a send request clears the message's sender link.
+
+    Handles of a rank killed by a fault may stay live until the end of
+    the run; on a clean run every slot is free when the last rank
+    returns ({!live_requests}/{!live_messages} read 0). *)
 
 open Scalana_mlang
 
-type message = {
-  msg_src : int;
-  msg_dst : int;
-  msg_tag : int;
-  msg_bytes : int;
-  msg_key : int;  (** packed (src, tag), [-1] when the tag doesn't pack *)
-  send_seq : int;
-  send_time : float;
-  mutable arrival : float;  (** infinity until scheduled (rendezvous) *)
-  send_loc : Loc.t;
-  send_site : int;  (** the sender's call-context site ({!Instrument.ctx}) *)
-  eager : bool;
-  mutable sender_req : request;  (** [nil_request] = none *)
-  mutable consumed : bool;  (** tombstone in the unexpected queue *)
-}
+type t
 
-and request = {
-  req_id : int;
-  req_rank : int;
-  req_kind : [ `Send | `Recv ];
-  post_time : float;
-  want_src : int;  (** [any_src] = MPI_ANY_SOURCE *)
-  want_tag : int;  (** [any_tag] = MPI_ANY_TAG *)
-  req_key : int;  (** packed exact (src, tag), [-1] when wildcarded *)
-  req_bytes : int;
-  req_loc : Loc.t;
-  mutable completed : bool;  (** tombstone in the posted queue *)
-  mutable completion : float;
-  mutable matched : message;  (** [nil_message] = none *)
-  mutable waiter : int;
-      (** rank blocked on this request, [-1] = none; owned by the
-          scheduler *)
-}
+(** Handle of an in-flight request; {!nil_request} = none. *)
+type request = private int
 
-(** Wildcard sentinels for [want_src]/[want_tag]. *)
+(** Handle of an in-flight message; {!nil_message} = none. *)
+type message = private int
+
+val nil_request : request
+val nil_message : message
+
+(** Wildcard sentinels for a receive's source and tag. *)
 val any_src : int
 
 val any_tag : int
 
-(** Sentinels standing in for "no message" / "no request"; compare with
-    [==]. *)
-val nil_message : message
+val create : net:Network.t -> nprocs:int -> t
 
-val nil_request : request
+(** Install the scheduler callback fired with the rank a request was
+    parked on ({!set_waiter}; cleared first) when it completes. *)
+val set_on_wake : t -> (int -> unit) -> unit
 
-(** [matched] is a real message (receive side of a completed match). *)
-val has_matched : request -> bool
+(** Post a send from [src] to [dst] (which must be in [0, nprocs)) at
+    [time]; [site] is the sender's call-context site.  The returned
+    request is already completed for eager messages. *)
+val send :
+  t -> src:int -> dst:int -> tag:int -> bytes:int -> time:float -> site:int ->
+  request
 
-(** Flat queue with tombstoned removal; exposed for [pending_summary]
-    consumers and the benchmarks. *)
-type 'a dq = {
-  mutable buf : 'a array;
-  mutable head : int;
-  mutable tail : int;
-  dummy : 'a;
+(** Post a receive on [rank] ([src]/[tag] may be {!any_src}/{!any_tag});
+    already completed when a matching unexpected message was waiting.
+    [site] is the posting site. *)
+val post_recv :
+  t -> rank:int -> src:int -> tag:int -> time:float -> site:int -> request
+
+(** The caller drops its hold on a request: freed now if completed, else
+    when it completes. *)
+val release : t -> request -> unit
+
+(** {2 Requests} *)
+
+val completed : t -> request -> bool
+
+(** When it completed; [infinity] while pending. *)
+val completion : t -> request -> float
+
+val is_recv : t -> request -> bool
+
+(** A send request's message, or the message a receive matched;
+    {!nil_message} for a pending receive. *)
+val matched : t -> request -> message
+
+(** Park a rank on a pending request, [-1] = none; owned by the
+    scheduler. *)
+val set_waiter : t -> request -> int -> unit
+
+(** {2 Messages} *)
+
+(** A message as its sender posted it. *)
+type envelope = {
+  src : int;
+  dst : int;
+  tag : int;
+  bytes : int;
+  site : int;  (** the sender's call-context site *)
+  send_time : float;
 }
 
-type t = {
-  net : Network.t;
-  nprocs : int;
-  unexpected : message dq array;
-  posted : request dq array;
-  colls : (int, coll) Hashtbl.t;  (** in-flight instances only *)
-  mutable msg_seq : int;
-  mutable req_seq : int;
-  mutable on_complete : request -> unit;
-  mutable messages_sent : int;
-  mutable bytes_sent : float;
-}
+val envelope : t -> message -> envelope
 
-and coll = {
+(** {2 Accounting} *)
+
+(** Point-to-point messages posted so far. *)
+val messages_sent : t -> int
+
+(** Slots in use now. *)
+val live_requests : t -> int
+
+val live_messages : t -> int
+
+(** High-water marks: the most slots ever in use at once. *)
+val peak_requests : t -> int
+
+val peak_messages : t -> int
+
+(** {2 Collectives} *)
+
+type coll = {
   coll_seq : int;
   coll_kind : Ast.mpi_call;
   coll_bytes : int;
@@ -98,36 +140,6 @@ and coll = {
       (** blocked ranks, newest first; owned by the scheduler *)
 }
 
-val create : net:Network.t -> nprocs:int -> t
-
-(** Install the scheduler callback fired whenever a request completes. *)
-val set_on_complete : t -> (request -> unit) -> unit
-
-(** Post a send; the returned request is already completed for eager
-    messages. Raises [Invalid_argument] on an out-of-range destination. *)
-val send :
-  t ->
-  src:int ->
-  dst:int ->
-  tag:int ->
-  bytes:int ->
-  time:float ->
-  loc:Loc.t ->
-  site:int ->
-  request
-
-(** Post a receive ([src]/[tag] may be {!any_src}/{!any_tag}); already
-    completed when a matching unexpected message was waiting. *)
-val post_recv :
-  t ->
-  rank:int ->
-  src:int ->
-  tag:int ->
-  bytes:int ->
-  time:float ->
-  loc:Loc.t ->
-  request
-
 (** Register [rank]'s arrival at its [seq]-th collective; the last
     arrival finalizes the instance (start/finish set, [finished] true)
     and drops it from the in-flight table.  Raises [Invalid_argument]
@@ -136,5 +148,5 @@ val coll_arrive :
   t -> seq:int -> rank:int -> time:float -> kind:Ast.mpi_call -> bytes:int -> coll
 
 (** Human-readable dump of pending receives/messages, for deadlock
-    reports. *)
-val pending_summary : t -> string
+    reports; [loc_of_site] names a posting or sending site. *)
+val pending_summary : t -> loc_of_site:(int -> Loc.t) -> string

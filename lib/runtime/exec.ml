@@ -135,7 +135,7 @@ and cpeer = KPAny | KPeer of C.expr
 and ctag = KTAny | KTag of C.expr
 
 (* Per-function-activation frame: variable slots (inside the compiled
-   env) and request slots. *)
+   env) and request slots, [Comm.nil_request] while unposted. *)
 type frame = { fenv : C.env; freqs : Comm.request array }
 
 (* --- program compilation --- *)
@@ -177,8 +177,9 @@ let merge_params (program : Ast.program) overrides =
       overrides
 
 (* Compile [program] at one (nprocs, params) point; returns the main
-   function and the number of statements [nsid].  Duplicate function
-   names keep first-definition-wins resolution. *)
+   function and each statement's location by [sid] (so there are
+   [Array.length] of them).  Duplicate function names keep
+   first-definition-wins resolution. *)
 let compile_program ~nprocs ~params (program : Ast.program) =
   let funcs =
     List.fold_left
@@ -246,6 +247,7 @@ let compile_program ~nprocs ~params (program : Ast.program) =
     funcs;
   let param name = List.assoc_opt name params in
   let nsid = ref 0 in
+  let locs = ref [] in
   let compile_func (f : Ast.func) =
     let fs = Hashtbl.find slots f.fname in
     let var_slot name =
@@ -292,6 +294,7 @@ let compile_program ~nprocs ~params (program : Ast.program) =
     and cstmt (st : Ast.stmt) =
       let sid = !nsid in
       incr nsid;
+      locs := st.loc :: !locs;
       let node =
         match st.node with
         | Ast.Let { var; value } ->
@@ -334,14 +337,14 @@ let compile_program ~nprocs ~params (program : Ast.program) =
   in
   List.iter compile_func funcs;
   match Hashtbl.find_opt cmap program.main with
-  | Some f -> (f, !nsid)
+  | Some f -> (f, Array.of_list (List.rev !locs))
   | None -> raise (Ast.Unknown_function program.main)
 
 (* --- scheduler state --- *)
 
 (* What an MPI statement awaits (an isend: the request it posted);
    [Wake_two] is sendrecv's (send, receive) pair, without an array
-   allocation. *)
+   allocation.  Requests are [Comm] handles. *)
 type wake =
   | Wake_none
   | Wake_one of Comm.request
@@ -360,8 +363,10 @@ let st_finished = 4
    body or branch arm, executing [body] from [pc] in [frame].  A loop
    body runs again while [iter + 1 < bound], with variable [slot] set to
    each iteration; a function body restores its caller's context node
-   [ret_node] when it returns ([-1]: not a call, or no tools attached).
-   Records are allocated on first use and reused by later pushes. *)
+   [ret_node] when it returns ([-1]: not a call, or no tools attached)
+   and, as the activation that [owns] its frame, releases the frame's
+   requests.  Records are allocated on first use and reused by later
+   pushes. *)
 type act = {
   mutable body : cstmt array;
   mutable pc : int;
@@ -370,6 +375,7 @@ type act = {
   mutable iter : int;
   mutable bound : int;
   mutable ret_node : int;
+  mutable owns : bool;
 }
 
 (* Per-process state in struct-of-arrays layout, indexed by rank. *)
@@ -401,6 +407,7 @@ type sched = {
   resume_at : float array;
   (* call contexts, maintained only when has_tools; node 0 is [main] *)
   nsid : int;  (* statements in the compiled program, >= 1 *)
+  sid_loc : Loc.t array;  (* statement locations by sid *)
   cnode : int array;  (* current context node per rank *)
   mutable node_paths : Loc.t list array;  (* node -> callpath *)
   mutable nnodes : int;
@@ -423,37 +430,37 @@ let make_ready s rank resume =
   Heap.push s.ready resume rank
 
 (* Whether everything [w] awaits has completed. *)
-let satisfied = function
+let satisfied c = function
   | Wake_none -> true
-  | Wake_one r -> r.Comm.completed
-  | Wake_two (r1, r2) -> r1.Comm.completed && r2.Comm.completed
-  | Wake_many rs -> Array.for_all (fun (r : Comm.request) -> r.completed) rs
-  | Wake_coll c -> c.Comm.finished
+  | Wake_one r -> Comm.completed c r
+  | Wake_two (r1, r2) -> Comm.completed c r1 && Comm.completed c r2
+  | Wake_many rs ->
+      let rec all i = i < 0 || (Comm.completed c rs.(i) && all (i - 1)) in
+      all (Array.length rs - 1)
+  | Wake_coll coll -> coll.Comm.finished
 
 (* When a rank that began awaiting a satisfied [w] at [since] resumes:
    the latest completion, but no earlier than [since]; a collective
    releases everyone at its finish time. *)
-let resume_time since = function
+let resume_time c since = function
   | Wake_none -> since
-  | Wake_one r -> Float.max since r.Comm.completion
+  | Wake_one r -> Float.max since (Comm.completion c r)
   | Wake_two (r1, r2) ->
-      Float.max (Float.max since r1.Comm.completion) r2.Comm.completion
+      Float.max (Float.max since (Comm.completion c r1)) (Comm.completion c r2)
   | Wake_many rs ->
-      Array.fold_left
-        (fun acc (r : Comm.request) -> Float.max acc r.completion)
-        since rs
-  | Wake_coll c -> c.Comm.finish_time
+      let acc = ref since in
+      for i = 0 to Array.length rs - 1 do
+        acc := Float.max !acc (Comm.completion c rs.(i))
+      done;
+      !acc
+  | Wake_coll coll -> coll.Comm.finish_time
 
-(* Called from Comm whenever a request completes: wake its parked owner
-   once all of the owner's awaited requests are complete. *)
-let on_request_complete s (req : Comm.request) =
-  let rank = req.Comm.waiter in
-  if rank >= 0 then begin
-    req.Comm.waiter <- -1;
-    let w = s.wakes.(rank) in
-    if s.status.(rank) = st_blocked && satisfied w then
-      make_ready s rank (resume_time s.await_since.(rank) w)
-  end
+(* Called from Comm when a request [rank] parked on completes: wake it
+   once all of its awaited requests are complete. *)
+let on_wake s rank =
+  let w = s.wakes.(rank) in
+  if s.status.(rank) = st_blocked && satisfied s.comm w then
+    make_ready s rank (resume_time s.comm s.await_since.(rank) w)
 
 let wake_collective s (c : Comm.coll) =
   List.iter
@@ -513,28 +520,46 @@ let ctx_of s rank (st : cstmt) =
 
 let tool_sum cfg f = List.fold_left (fun acc tool -> acc +. f tool) 0.0 cfg.tools
 
-let dep_of_req s (r : Comm.request) =
-  if Comm.has_matched r && r.Comm.req_kind = `Recv then
-    let m = r.Comm.matched in
+let dep_of_req s r =
+  let c = s.comm in
+  let m = Comm.matched c r in
+  if m <> Comm.nil_message && Comm.is_recv c r then
+    let e = Comm.envelope c m in
     [
       {
-        Instrument.peer_rank = m.Comm.msg_src;
-        peer_loc = m.Comm.send_loc;
-        peer_callpath = s.node_paths.(m.Comm.send_site / s.nsid);
-        peer_site = m.Comm.send_site;
-        dep_tag = m.Comm.msg_tag;
-        dep_bytes = m.Comm.msg_bytes;
-        send_time = m.Comm.send_time;
-        arrival_time = r.Comm.completion;
+        Instrument.peer_rank = e.src;
+        peer_loc = s.sid_loc.(e.site mod s.nsid);
+        peer_callpath = s.node_paths.(e.site / s.nsid);
+        peer_site = e.site;
+        dep_tag = e.tag;
+        dep_bytes = e.bytes;
+        send_time = e.send_time;
+        arrival_time = Comm.completion c r;
       };
     ]
   else []
 
 let get_req (frame : frame) ~loc slot name =
   let r = frame.freqs.(slot) in
-  if r == Comm.nil_request then
+  if r = Comm.nil_request then
     runtime_error ~loc "wait on unposted request %S" name
   else r
+
+(* Hand a request to frame slot [slot], releasing the one it held. *)
+let set_req s (frame : frame) slot r =
+  let old = frame.freqs.(slot) in
+  frame.freqs.(slot) <- r;
+  if old <> Comm.nil_request then Comm.release s.comm old
+
+(* Release every request a returning call's frame still holds. *)
+let release_frame s (frame : frame) =
+  for slot = 0 to Array.length frame.freqs - 1 do
+    let r = frame.freqs.(slot) in
+    if r <> Comm.nil_request then begin
+      frame.freqs.(slot) <- Comm.nil_request;
+      Comm.release s.comm r
+    end
+  done
 
 let no_vars : int array = [||]
 let no_reqs : Comm.request array = [||]
@@ -557,10 +582,19 @@ let new_frame rank (f : cfunc) =
 let no_act =
   let f = { cf_name = ""; cf_nvars = 0; cf_nreqs = 0; cf_body = [||] } in
   let frame = new_frame 0 f in
-  { body = [||]; pc = 0; frame; slot = 0; iter = 0; bound = 0; ret_node = -1 }
+  {
+    body = [||];
+    pc = 0;
+    frame;
+    slot = 0;
+    iter = 0;
+    bound = 0;
+    ret_node = -1;
+    owns = false;
+  }
 
 (* Push an activation running [body] in [frame] onto [rank]'s stack. *)
-let push s rank body frame ~slot ~bound ~ret_node =
+let push s rank body frame ~slot ~bound ~ret_node ~owns =
   let d = s.depth.(rank) in
   let acts = s.acts.(rank) in
   let acts =
@@ -573,7 +607,7 @@ let push s rank body frame ~slot ~bound ~ret_node =
   in
   let a = Array.unsafe_get acts d in
   if a == no_act then
-    acts.(d) <- { body; pc = 0; frame; slot; iter = 0; bound; ret_node }
+    acts.(d) <- { body; pc = 0; frame; slot; iter = 0; bound; ret_node; owns }
   else begin
     a.body <- body;
     a.pc <- 0;
@@ -581,7 +615,8 @@ let push s rank body frame ~slot ~bound ~ret_node =
     a.slot <- slot;
     a.iter <- 0;
     a.bound <- bound;
-    a.ret_node <- ret_node
+    a.ret_node <- ret_node;
+    a.owns <- owns
   end;
   s.depth.(rank) <- d + 1
 
@@ -606,7 +641,7 @@ let call_function s rank (call : cstmt) (f : cfunc)
     end
     else -1
   in
-  push s rank f.cf_body callee_frame ~slot:0 ~bound:0 ~ret_node
+  push s rank f.cf_body callee_frame ~slot:0 ~bound:0 ~ret_node ~owns:true
 
 (* Accumulate one computation interval into the per-rank SoA state.
    Field-by-field addition in [Pmu.t] order — identical float sums to
@@ -632,7 +667,8 @@ let accum_comp s rank seconds =
    consumes (context records, dependence edges, posted sends, collective
    info) is built behind [s.has_tools], so bare runs allocate none of
    it.  [cnode] stays at the root on bare runs, so posted messages carry
-   a root-context site there. *)
+   a root-context site there.  A blocking send or receive owns the
+   requests it posted and releases them once finished. *)
 
 let finish_mpi s rank (st : cstmt) (w : wake) =
   match st.snode with
@@ -657,8 +693,8 @@ let finish_mpi s rank (st : cstmt) (w : wake) =
         let sends =
           match (op, w) with
           | (KSend _ | KIsend _), Wake_one r | KSendrecv _, Wake_two (r, _) ->
-              let m = r.Comm.matched in
-              [ (m.Comm.msg_dst, m.msg_tag, m.msg_bytes) ]
+              let e = Comm.envelope s.comm (Comm.matched s.comm r) in
+              [ (e.dst, e.tag, e.bytes) ]
           | _ -> []
         in
         let deps, collective =
@@ -703,7 +739,13 @@ let finish_mpi s rank (st : cstmt) (w : wake) =
               tool.Instrument.on_mpi_exit ctx_exit exit_info)
         in
         s.clock.(rank) <- s.clock.(rank) +. span_overhead +. overhead_out
-      end
+      end;
+      (match (op, w) with
+      | (KSend _ | KRecv _), Wake_one r -> Comm.release s.comm r
+      | KSendrecv _, Wake_two (r1, r2) ->
+          Comm.release s.comm r1;
+          Comm.release s.comm r2
+      | _ -> ())
   | _ -> assert false
 
 (* Park [rank] until [w] is satisfied.  Only the still-pending requests
@@ -712,16 +754,15 @@ let park s rank (w : wake) =
   s.status.(rank) <- st_blocked;
   s.wakes.(rank) <- w;
   s.blocks <- s.blocks + 1;
+  let c = s.comm in
+  let wait_on r = if not (Comm.completed c r) then Comm.set_waiter c r rank in
   match w with
-  | Wake_one r -> if not r.Comm.completed then r.Comm.waiter <- rank
+  | Wake_one r -> wait_on r
   | Wake_two (r1, r2) ->
-      if not r1.Comm.completed then r1.Comm.waiter <- rank;
-      if not r2.Comm.completed then r2.Comm.waiter <- rank
-  | Wake_many rs ->
-      Array.iter
-        (fun (r : Comm.request) -> if not r.completed then r.waiter <- rank)
-        rs
-  | Wake_coll c -> c.Comm.waiters <- rank :: c.Comm.waiters
+      wait_on r1;
+      wait_on r2
+  | Wake_many rs -> Array.iter wait_on rs
+  | Wake_coll coll -> coll.Comm.waiters <- rank :: coll.Comm.waiters
   | Wake_none -> assert false
 
 (* Await [w] for the MPI statement [st]: finish it now when [w] is
@@ -729,15 +770,31 @@ let park s rank (w : wake) =
 let await s rank (st : cstmt) (w : wake) =
   let t0 = s.clock.(rank) in
   s.await_since.(rank) <- t0;
-  let ready = satisfied w in
+  let ready = satisfied s.comm w in
   if ready then begin
-    s.clock.(rank) <- Float.max t0 (resume_time t0 w);
+    s.clock.(rank) <- Float.max t0 (resume_time s.comm t0 w);
     finish_mpi s rank st w
   end
   else park s rank w;
   ready
 
-(* Issue the MPI statement [st]; false when the rank parked. *)
+(* Post a send or receive of [rank] at its clock, after the range
+   check on the peer. *)
+let post_send s rank ~loc ~site ~dst ~tag ~bytes =
+  if dst < 0 || dst >= s.nprocs then
+    Fmt.invalid_arg "send to rank %d outside 0..%d (%s)" dst (s.nprocs - 1)
+      (Loc.to_string loc);
+  Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~time:s.clock.(rank) ~site
+
+let post_recv s rank ~loc ~site ~src ~tag =
+  if src <> Comm.any_src && (src < 0 || src >= s.nprocs) then
+    Fmt.invalid_arg "recv from rank %d outside 0..%d (%s)" src (s.nprocs - 1)
+      (Loc.to_string loc);
+  Comm.post_recv s.comm ~rank ~src ~tag ~time:s.clock.(rank) ~site
+
+(* Issue the MPI statement [st]; false when the rank parked.  A
+   receive's byte count is evaluated for its errors only: messages are
+   never truncated. *)
 let exec_mpi s rank frame (st : cstmt) (ast : Ast.mpi_call) (op : cmpi) =
   let loc = st.sloc in
   s.enter_time.(rank) <- s.clock.(rank);
@@ -748,42 +805,32 @@ let exec_mpi s rank frame (st : cstmt) (ast : Ast.mpi_call) (op : cmpi) =
       let dst = ceval env ~loc dest in
       let tag = ceval env ~loc tag in
       let bytes = ceval env ~loc bytes in
-      let sreq =
-        Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~site
-      in
+      let sreq = post_send s rank ~loc ~site ~dst ~tag ~bytes in
       s.clock.(rank) <- s.clock.(rank) +. s.net.Network.send_overhead;
       await s rank st (Wake_one sreq)
   | KRecv { src; tag; bytes } ->
       let src = eval_peer env ~loc src in
       let tag = eval_tag env ~loc tag in
-      let bytes = ceval env ~loc bytes in
-      let req =
-        Comm.post_recv s.comm ~rank ~src ~tag ~bytes ~time:s.clock.(rank) ~loc
-      in
+      ignore (ceval env ~loc bytes);
+      let req = post_recv s rank ~loc ~site ~src ~tag in
       s.clock.(rank) <- s.clock.(rank) +. s.net.Network.recv_overhead;
       await s rank st (Wake_one req)
   | KIsend { dest; tag; bytes; slot } ->
       let dst = ceval env ~loc dest in
       let tag = ceval env ~loc tag in
       let bytes = ceval env ~loc bytes in
-      let sreq =
-        Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~site
-      in
+      let sreq = post_send s rank ~loc ~site ~dst ~tag ~bytes in
       s.clock.(rank) <- s.clock.(rank) +. s.net.Network.send_overhead;
-      frame.freqs.(slot) <- sreq;
+      set_req s frame slot sreq;
       finish_mpi s rank st (Wake_one sreq);
       true
   | KIrecv { src; tag; bytes; slot } ->
       let src = eval_peer env ~loc src in
       let tag = eval_tag env ~loc tag in
-      let bytes = ceval env ~loc bytes in
-      let rreq =
-        Comm.post_recv s.comm ~rank ~src ~tag ~bytes ~time:s.clock.(rank) ~loc
-      in
+      ignore (ceval env ~loc bytes);
+      let rreq = post_recv s rank ~loc ~site ~src ~tag in
       s.clock.(rank) <- s.clock.(rank) +. s.net.Network.recv_overhead;
-      frame.freqs.(slot) <- rreq;
+      set_req s frame slot rreq;
       finish_mpi s rank st Wake_none;
       true
   | KWait { slot; name } ->
@@ -799,15 +846,9 @@ let exec_mpi s rank frame (st : cstmt) (ast : Ast.mpi_call) (op : cmpi) =
       let sbytes = ceval env ~loc sbytes in
       let src = eval_peer env ~loc src in
       let rtag = eval_tag env ~loc rtag in
-      let rbytes = ceval env ~loc rbytes in
-      let sreq =
-        Comm.send s.comm ~src:rank ~dst ~tag:stag ~bytes:sbytes
-          ~time:s.clock.(rank) ~loc ~site
-      in
-      let rreq =
-        Comm.post_recv s.comm ~rank ~src ~tag:rtag ~bytes:rbytes
-          ~time:s.clock.(rank) ~loc
-      in
+      ignore (ceval env ~loc rbytes);
+      let sreq = post_send s rank ~loc ~site ~dst ~tag:stag ~bytes:sbytes in
+      let rreq = post_recv s rank ~loc ~site ~src ~tag:rtag in
       s.clock.(rank) <-
         s.clock.(rank) +. s.net.Network.send_overhead
         +. s.net.Network.recv_overhead;
@@ -879,13 +920,13 @@ let exec_stmt s rank frame (st : cstmt) =
       if n > 0 then begin
         Bytes.unsafe_set frame.fenv.C.c_bound slot '\001';
         Array.unsafe_set frame.fenv.C.c_vars slot 0;
-        push s rank body frame ~slot ~bound:n ~ret_node:(-1)
+        push s rank body frame ~slot ~bound:n ~ret_node:(-1) ~owns:false
       end;
       true
   | KBranch { cond; then_; else_ } ->
       let arm = if ceval frame.fenv ~loc cond <> 0 then then_ else else_ in
       if Array.length arm > 0 then
-        push s rank arm frame ~slot:0 ~bound:0 ~ret_node:(-1);
+        push s rank arm frame ~slot:0 ~bound:0 ~ret_node:(-1) ~owns:false;
       true
   | KCall { callee; args } ->
       call_function s rank st callee args frame;
@@ -915,8 +956,9 @@ let exec_stmt s rank frame (st : cstmt) =
 (* --- the scheduler loop --- *)
 
 (* Run [rank] until it parks or returns from [main].  A finished body
-   pops its activation (restoring the caller's context node), unless it
-   is a loop body with iterations left. *)
+   pops its activation (restoring the caller's context node and
+   releasing a returning call's requests), unless it is a loop body with
+   iterations left. *)
 let rec step s rank =
   let d = s.depth.(rank) in
   if d = 0 then s.status.(rank) <- st_finished
@@ -937,6 +979,7 @@ let rec step s rank =
       end
       else begin
         if a.ret_node >= 0 then s.cnode.(rank) <- a.ret_node;
+        if a.owns then release_frame s a.frame;
         s.depth.(rank) <- d - 1
       end;
       step s rank
@@ -958,7 +1001,7 @@ let dispatch s rank ~resumed =
     end
     else
       push s rank s.cmain.cf_body (new_frame rank s.cmain) ~slot:0 ~bound:0
-        ~ret_node:(-1);
+        ~ret_node:(-1) ~owns:true;
     step s rank
   with Rank_killed ->
     s.status.(rank) <- st_finished;
@@ -977,7 +1020,7 @@ let rec drive s =
 
 let run_body ~cfg (program : Ast.program) =
   let merged_params = merge_params program cfg.params in
-  let cmain, nsid =
+  let cmain, sid_loc =
     compile_program ~nprocs:cfg.nprocs ~params:merged_params program
   in
   let n = cfg.nprocs in
@@ -1008,7 +1051,8 @@ let run_body ~cfg (program : Ast.program) =
       await_since = Array.make n cfg.clock0;
       wakes = Array.make n Wake_none;
       resume_at = Array.make n 0.0;
-      nsid = max 1 nsid;
+      nsid = max 1 (Array.length sid_loc);
+      sid_loc;
       cnode = Array.make n 0;
       node_paths = [| [] |];
       nnodes = 1;
@@ -1026,7 +1070,7 @@ let run_body ~cfg (program : Ast.program) =
       killed = [];
     }
   in
-  Comm.set_on_complete comm (on_request_complete s);
+  Comm.set_on_wake comm (on_wake s);
   for rank = 0 to n - 1 do
     Heap.push s.ready cfg.clock0 rank
   done;
@@ -1044,7 +1088,8 @@ let run_body ~cfg (program : Ast.program) =
       (Deadlock
          (Printf.sprintf "ranks {%s} blocked at end of run\n%s"
             (String.concat "," (List.map string_of_int stuck))
-            (Comm.pending_summary comm)));
+            (Comm.pending_summary comm ~loc_of_site:(fun site ->
+                 sid_loc.(site mod s.nsid)))));
   let elapsed = Array.fold_left Float.max 0.0 s.clock in
   List.iter
     (fun tool -> tool.Instrument.on_run_end ~nprocs:cfg.nprocs ~elapsed)
@@ -1066,12 +1111,12 @@ let run_body ~cfg (program : Ast.program) =
               fp_ins = s.pmu_fp.(rank);
             });
       events = s.events;
-      messages = comm.Comm.messages_sent;
+      messages = Comm.messages_sent comm;
       killed_ranks;
       stranded_ranks = stuck;
     }
   in
-  (r, s.blocks)
+  (r, s)
 
 (* The observable boundary of one simulated run: the span's duration is
    the wall-clock cost of simulating, while [sim_elapsed] is the
@@ -1086,11 +1131,15 @@ let run ?(cfg = config ~nprocs:4 ()) (program : Ast.program) =
     in
     let t0 = Obs.now () in
     match run_body ~cfg program with
-    | r, blocks ->
+    | r, s ->
         Obs.Metrics.observe "exec.wall_seconds" (Obs.now () -. t0);
         Obs.Metrics.observe "exec.sim_elapsed" r.elapsed;
         Obs.Metrics.incr ~by:r.events "exec.events";
-        Obs.Metrics.incr ~by:blocks "exec.blocks";
+        Obs.Metrics.incr ~by:s.blocks "exec.blocks";
+        Obs.Metrics.incr ~by:(Comm.peak_requests s.comm) "exec.peak_requests";
+        Obs.Metrics.incr ~by:(Comm.peak_messages s.comm) "exec.peak_messages";
+        Obs.Metrics.incr ~by:(Comm.live_requests s.comm) "exec.live_requests";
+        Obs.Metrics.incr ~by:(Comm.live_messages s.comm) "exec.live_messages";
         Obs.Metrics.incr ~by:r.messages "exec.messages";
         Obs.finish
           ~args:

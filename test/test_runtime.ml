@@ -1038,6 +1038,27 @@ let pool_fixture_program () =
       ]);
   Builder.program b
 
+(* [run] with metrics on; returns the result and the [exec.*] pool
+   counters (peak requests, peak messages, live requests, live
+   messages). *)
+let run_counting_pools ~cfg prog =
+  let module Obs = Scalana_obs.Obs in
+  Obs.reset ();
+  Obs.enable ();
+  let r = Fun.protect ~finally:Obs.disable (fun () -> Exec.run ~cfg prog) in
+  let counters = (Obs.Metrics.snapshot ()).Obs.Metrics.counters in
+  Obs.reset ();
+  let get name = List.assoc ("exec." ^ name) counters in
+  ( r,
+    ( get "peak_requests",
+      get "peak_messages",
+      get "live_requests",
+      get "live_messages" ) )
+
+let check_no_live label (_, (_, _, live_r, live_m)) =
+  check_int (label ^ ": live requests") 0 live_r;
+  check_int (label ^ ": live messages") 0 live_m
+
 let test_pool_fixture_digests () =
   let result_d, traced_d = pool_fixture_digests in
   let prog = pool_fixture_program () in
@@ -1048,6 +1069,114 @@ let test_pool_fixture_digests () =
   ignore (run ~nprocs:6 ~tools:[ tool ] prog);
   check_string "traced" traced_d
     (Digest.to_hex (Digest.string (Marshal.to_string (trace ()) [])))
+
+(* Every request and message slot is free again when a clean run ends:
+   the fixture, bare and traced, and the registry at three scales. *)
+let test_pool_no_live_slots () =
+  let prog = pool_fixture_program () in
+  List.iter
+    (fun (label, tools) ->
+      let cfg = Exec.config ~nprocs:6 ~tools () in
+      check_no_live ("fixture" ^ label) (run_counting_pools ~cfg prog))
+    [ ("", []); (" traced", [ fst (recording_tool ()) ]) ];
+  List.iter
+    (fun (e : Scalana_apps.Registry.entry) ->
+      List.iter
+        (fun np ->
+          let cfg = Exec.config ~nprocs:np ~cost:e.cost () in
+          check_no_live
+            (Printf.sprintf "%s np=%d" e.name np)
+            (run_counting_pools ~cfg (e.make ())))
+        [ 4; 16; 64 ])
+    Scalana_apps.Registry.all
+
+(* A deadlock report names each pending receive's posting statement and
+   each unconsumed message's send statement, from a frame two calls
+   deep, bare or with a tool attached (the sites then carry a context
+   node).  The text was captured from the engine before the pools
+   stopped storing locations. *)
+let test_pool_deadlock_report () =
+  let open Expr.Infix in
+  let b = Builder.create ~file:"dl.mmp" ~name:"dl" () in
+  Builder.func b "f" (fun () ->
+      [
+        Builder.branch b
+          ~cond:(rank = i 0)
+          (fun () -> [ Builder.send b ~dest:(i 1) ~tag:(i 5) ~bytes:(i 8) () ]);
+        Builder.irecv b ~tag:(i 9) ~bytes:(i 8) ~req:"q" ();
+        Builder.recv b ~src:((rank + i 1) % np) ~tag:(i 6) ~bytes:(i 8) ();
+      ]);
+  Builder.func b "main" (fun () -> [ Builder.call b "f" ]);
+  let prog = Builder.program b in
+  let expected =
+    "ranks {0,1,2} blocked at end of run\n\
+    \  rank 0: recv posted at dl.mmp:6 (src=any tag=9)\n\
+    \  rank 0: recv posted at dl.mmp:7 (src=1 tag=6)\n\
+    \  rank 1: recv posted at dl.mmp:6 (src=any tag=9)\n\
+    \  rank 1: recv posted at dl.mmp:7 (src=2 tag=6)\n\
+    \  rank 2: recv posted at dl.mmp:6 (src=any tag=9)\n\
+    \  rank 2: recv posted at dl.mmp:7 (src=0 tag=6)\n\
+    \  rank 1: unconsumed msg from 0 tag 5 (dl.mmp:4)\n"
+  in
+  List.iter
+    (fun (label, tools) ->
+      match run ~nprocs:3 ~tools prog with
+      | _ -> Alcotest.fail "expected deadlock"
+      | exception Exec.Deadlock msg -> check_string label expected msg)
+    [ ("bare", []); ("nil-tool", [ Instrument.nil "nil" ]) ]
+
+(* Once the pools have grown, a ring of eager and rendezvous exchanges
+   allocates nothing: no per-message record, no boxed float. *)
+let test_pool_steady_state_allocates_nothing () =
+  let np = 64 in
+  let c = Comm.create ~net:Network.default ~nprocs:np in
+  let round k time =
+    for r = 0 to np - 1 do
+      let bytes = if k mod 2 = 0 then 64 else 100_000 in
+      let rr =
+        Comm.post_recv c ~rank:r ~src:((r + 1) mod np) ~tag:k ~time ~site:0
+      in
+      let sr =
+        Comm.send c ~src:((r + 1) mod np) ~dst:r ~tag:k ~bytes ~time ~site:1
+      in
+      Comm.release c sr;
+      Comm.release c rr
+    done
+  in
+  round 0 0.0;
+  round 1 1.0;
+  (* the times are boxed before the count starts *)
+  let times = List.init 1000 (fun k -> float_of_int (k + 2)) in
+  let w0 = Gc.minor_words () in
+  List.iteri (fun k time -> round (k + 2) time) times;
+  let words = Gc.minor_words () -. w0 in
+  check_bool
+    (Printf.sprintf "%.0f words for 64k exchanges" words)
+    true (words < 100.0);
+  check_int "live requests" 0 (Comm.live_requests c);
+  check_int "live messages" 0 (Comm.live_messages c);
+  check_int "messages" (1002 * np) (Comm.messages_sent c)
+
+(* The pools grow with the ranks, not with the messages: cg-weak at
+   np=4096 sends millions of messages through a few np slots. *)
+let test_pool_high_water () =
+  let e = Scalana_apps.Registry.find "cg-weak" in
+  let np = 4096 in
+  let cfg = Exec.config ~nprocs:np ~cost:e.cost () in
+  let ((r, (peak_r, peak_m, _, _)) as counted) =
+    run_counting_pools ~cfg (e.make ())
+  in
+  check_no_live "cg-weak np=4096" counted;
+  check_bool "many more messages than slots" true
+    (r.Exec.messages > 10 * (peak_r + peak_m));
+  check_bool
+    (Printf.sprintf "peak requests %d <= 4 np" peak_r)
+    true
+    (peak_r <= 4 * np);
+  check_bool
+    (Printf.sprintf "peak messages %d <= 4 np" peak_m)
+    true
+    (peak_m <= 4 * np)
 
 (* --- elastic membership and recovery --- *)
 
@@ -1273,6 +1402,14 @@ let () =
         [
           Alcotest.test_case "fixture digests" `Quick
             test_pool_fixture_digests;
+          Alcotest.test_case "no live slots after clean runs" `Quick
+            test_pool_no_live_slots;
+          Alcotest.test_case "high-water mark is O(np)" `Quick
+            test_pool_high_water;
+          Alcotest.test_case "steady state allocates nothing" `Quick
+            test_pool_steady_state_allocates_nothing;
+          Alcotest.test_case "deadlock report names sites" `Quick
+            test_pool_deadlock_report;
         ] );
       ( "elastic",
         [
