@@ -140,7 +140,7 @@ let dq_create () = { buf = Array.make 4 (-1); head = 0; tail = 0 }
 
 (* Drop dead entries in order; grow only when mostly live.  In-place
    compaction is safe because the write index never passes the read
-   index. *)
+   index, and what it leaves past the new tail is never read. *)
 let dq_compact q =
   let live = ref 0 in
   for i = q.head to q.tail - 1 do
@@ -156,7 +156,6 @@ let dq_compact q =
       incr j
     end
   done;
-  if buf == q.buf then Array.fill q.buf !j (q.tail - !j) (-1);
   q.buf <- buf;
   q.head <- 0;
   q.tail <- !j
@@ -235,7 +234,11 @@ let[@inline] completed t r = rget t r r_done = 1
 let[@inline] completion t r = rgetf t r r_completion
 let[@inline] is_recv t r = rget t r r_recv = 1
 let[@inline] matched t r = rget t r r_msg
-let[@inline] set_waiter t r w = rset t r r_waiter w
+let wait_on t r rank =
+  completed t r
+  ||
+  (rset t r r_waiter rank;
+   false)
 
 type envelope = {
   src : int;
@@ -316,19 +319,20 @@ let consume t r m =
     complete t r ~at:arrival
   end
 
-let new_req t ~recv ~src ~tag ~key ~site ~time =
+(* A fresh pending request held by its poster.  Only a receive's wanted
+   source, tag, key and site are ever read (matching, deadlock reports),
+   so [post_recv] sets them and a send leaves them stale. *)
+let new_req t ~recv ~time =
   let r = alloc t.reqs in
-  rset t r r_recv (if recv then 1 else 0);
-  rset t r r_src src;
-  rset t r r_tag tag;
-  rset t r r_key key;
-  rset t r r_done 0;
-  rset t r r_msg (-1);
-  rset t r r_waiter (-1);
-  rset t r r_site site;
-  rset t r r_held 1;
-  rsetf t r r_post time;
-  rsetf t r r_completion infinity;
+  let ri = t.reqs.ints and b = r * r_iw in
+  ri.(b + r_recv) <- (if recv then 1 else 0);
+  ri.(b + r_done) <- 0;
+  ri.(b + r_msg) <- -1;
+  ri.(b + r_waiter) <- -1;
+  ri.(b + r_held) <- 1;
+  let rf = t.reqs.floats and bf = r * r_fw in
+  rf.(bf + r_post) <- time;
+  rf.(bf + r_completion) <- infinity;
   r
 
 (* Post a send at [time]; returns the sender-side request (already
@@ -336,23 +340,24 @@ let new_req t ~recv ~src ~tag ~key ~site ~time =
 let send t ~src ~dst ~tag ~bytes ~time ~site =
   t.messages_sent <- t.messages_sent + 1;
   let eager = is_eager t bytes in
+  let s = new_req t ~recv:false ~time in
   let m = alloc t.msgs in
-  mset t m m_src src;
-  mset t m m_dst dst;
-  mset t m m_tag tag;
-  mset t m m_bytes bytes;
-  mset t m m_key (pack_key src tag);
-  mset t m m_site site;
-  mset t m m_eager (if eager then 1 else 0);
-  mset t m m_refs 1;
-  msetf t m m_send_time time;
-  if eager then msetf t m m_arrival (time +. transfer_time t bytes)
-  else msetf t m m_arrival infinity;
-  let s =
-    new_req t ~recv:false ~src:any_src ~tag:any_tag ~key:(-1) ~site ~time
-  in
+  let mkey = pack_key src tag in
+  let mi = t.msgs.ints and b = m * m_iw in
+  mi.(b + m_src) <- src;
+  mi.(b + m_dst) <- dst;
+  mi.(b + m_tag) <- tag;
+  mi.(b + m_bytes) <- bytes;
+  mi.(b + m_key) <- mkey;
+  mi.(b + m_site) <- site;
+  mi.(b + m_eager) <- (if eager then 1 else 0);
+  mi.(b + m_sreq) <- s;
+  mi.(b + m_refs) <- 1;
+  let mf = t.msgs.floats and bf = m * m_fw in
+  mf.(bf + m_send_time) <- time;
+  if eager then mf.(bf + m_arrival) <- time +. transfer_time t bytes
+  else mf.(bf + m_arrival) <- infinity;
   rset t s r_msg m;
-  mset t m m_sreq s;
   if eager then begin
     rset t s r_done 1;
     rsetf t s r_completion time
@@ -360,7 +365,7 @@ let send t ~src ~dst ~tag ~bytes ~time ~site =
   (* match against posted receives of the destination, FIFO *)
   let q = t.posted.(dst) in
   dq_trim q;
-  let mkey = pack_key src tag and ri = t.reqs.ints in
+  let ri = t.reqs.ints in
   let i = ref q.head and r = ref (-1) in
   while !r < 0 && !i < q.tail do
     let x = q.buf.(!i) in
@@ -386,7 +391,12 @@ let send t ~src ~dst ~tag ~bytes ~time ~site =
    a matching unexpected message was waiting). *)
 let post_recv t ~rank ~src ~tag ~time ~site =
   let key = if src <> any_src && tag <> any_tag then pack_key src tag else -1 in
-  let r = new_req t ~recv:true ~src ~tag ~key ~site ~time in
+  let r = new_req t ~recv:true ~time in
+  let ri = t.reqs.ints and b = r * r_iw in
+  ri.(b + r_src) <- src;
+  ri.(b + r_tag) <- tag;
+  ri.(b + r_key) <- key;
+  ri.(b + r_site) <- site;
   let q = t.unexpected.(rank) in
   dq_trim q;
   let mi = t.msgs.ints in

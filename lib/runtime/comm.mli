@@ -57,7 +57,7 @@ val any_tag : int
 val create : net:Network.t -> nprocs:int -> t
 
 (** Install the scheduler callback fired with the rank a request was
-    parked on ({!set_waiter}; cleared first) when it completes. *)
+    parked on ({!wait_on}; cleared first) when it completes. *)
 val set_on_wake : t -> (int -> unit) -> unit
 
 (** Post a send from [src] to [dst] (which must be in [0, nprocs)) at
@@ -90,9 +90,10 @@ val is_recv : t -> request -> bool
     {!nil_message} for a pending receive. *)
 val matched : t -> request -> message
 
-(** Park a rank on a pending request, [-1] = none; owned by the
-    scheduler. *)
-val set_waiter : t -> request -> int -> unit
+(** [wait_on t r rank]: whether [r] has completed; if not, [rank] is
+    parked on it, to be passed to the {!set_on_wake} callback when it
+    does. *)
+val wait_on : t -> request -> int -> bool
 
 (** {2 Messages} *)
 

@@ -748,29 +748,34 @@ let finish_mpi s rank (st : cstmt) (w : wake) =
       | _ -> ())
   | _ -> assert false
 
-(* Park [rank] until [w] is satisfied.  Only the still-pending requests
-   register the rank as their waiter. *)
+(* [satisfied], registering [rank] as the waiter of every request of
+   [w] still pending (none when [w] is satisfied). *)
+let wait_on s rank = function
+  | Wake_one r -> Comm.wait_on s.comm r rank
+  | Wake_two (r1, r2) ->
+      let done1 = Comm.wait_on s.comm r1 rank in
+      Comm.wait_on s.comm r2 rank && done1
+  | Wake_many rs ->
+      Array.fold_left (fun ok r -> Comm.wait_on s.comm r rank && ok) true rs
+  | (Wake_none | Wake_coll _) as w -> satisfied s.comm w
+
+(* Park [rank] until [w] is satisfied; [wait_on] has already registered
+   it with the pending requests. *)
 let park s rank (w : wake) =
   s.status.(rank) <- st_blocked;
   s.wakes.(rank) <- w;
   s.blocks <- s.blocks + 1;
-  let c = s.comm in
-  let wait_on r = if not (Comm.completed c r) then Comm.set_waiter c r rank in
   match w with
-  | Wake_one r -> wait_on r
-  | Wake_two (r1, r2) ->
-      wait_on r1;
-      wait_on r2
-  | Wake_many rs -> Array.iter wait_on rs
   | Wake_coll coll -> coll.Comm.waiters <- rank :: coll.Comm.waiters
   | Wake_none -> assert false
+  | Wake_one _ | Wake_two _ | Wake_many _ -> ()
 
 (* Await [w] for the MPI statement [st]: finish it now when [w] is
    already satisfied, else park.  Returns whether the rank runs on. *)
 let await s rank (st : cstmt) (w : wake) =
   let t0 = s.clock.(rank) in
   s.await_since.(rank) <- t0;
-  let ready = satisfied s.comm w in
+  let ready = wait_on s rank w in
   if ready then begin
     s.clock.(rank) <- Float.max t0 (resume_time s.comm t0 w);
     finish_mpi s rank st w
