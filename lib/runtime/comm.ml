@@ -216,7 +216,8 @@ let set_on_wake t f = t.on_wake <- f
    hot path stays in this module: a call across modules returns its
    float boxed when they are compiled separately. *)
 let[@inline] transfer_time t bytes =
-  t.net.latency +. (float_of_int (if bytes > 0 then bytes else 0) /. t.net.bandwidth)
+  t.net.latency
+  +. (float_of_int (if bytes > 0 then bytes else 0) /. t.net.bandwidth)
 
 let[@inline] is_eager t bytes = bytes <= t.net.eager_threshold
 
@@ -234,6 +235,7 @@ let[@inline] completed t r = rget t r r_done = 1
 let[@inline] completion t r = rgetf t r r_completion
 let[@inline] is_recv t r = rget t r r_recv = 1
 let[@inline] matched t r = rget t r r_msg
+
 let wait_on t r rank =
   completed t r
   ||
@@ -258,6 +260,7 @@ let envelope t m =
     site = mget t m m_site;
     send_time = mgetf t m m_send_time;
   }
+
 let messages_sent t = t.messages_sent
 let live_requests t = t.reqs.live
 let live_messages t = t.msgs.live

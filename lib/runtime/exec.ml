@@ -553,13 +553,9 @@ let set_req s (frame : frame) slot r =
 
 (* Release every request a returning call's frame still holds. *)
 let release_frame s (frame : frame) =
-  for slot = 0 to Array.length frame.freqs - 1 do
-    let r = frame.freqs.(slot) in
-    if r <> Comm.nil_request then begin
-      frame.freqs.(slot) <- Comm.nil_request;
-      Comm.release s.comm r
-    end
-  done
+  Array.iter
+    (fun r -> if r <> Comm.nil_request then Comm.release s.comm r)
+    frame.freqs
 
 let no_vars : int array = [||]
 let no_reqs : Comm.request array = [||]

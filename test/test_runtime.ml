@@ -969,8 +969,8 @@ let test_blocks_counter () =
    wildcard [Recv], a rendezvous-sized blocking [Send], a [Waitall]
    over slots reused across loop iterations (one named twice), and a
    [Sendrecv].  Its digests (the result, bare and with a nil tool, and
-   every hook event with its receive dependences) were captured from the engine before the
-   pools became integer handles. *)
+   every hook event with its receive dependences) were captured from
+   the engine before the pools became integer handles. *)
 
 let pool_fixture_digests =
   ("629396bbdbbeb7f094343feda20f28ca", "b7fca3a24cd4b37e7de31fae3c83adf1")
